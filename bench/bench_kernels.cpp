@@ -126,7 +126,7 @@ void BM_GemmSimdFixedBlocking(benchmark::State& state) {
 BENCHMARK(BM_GemmSimdFixedBlocking)->Arg(512)->Arg(1024);
 
 void BM_GemmAvx512(benchmark::State& state) {
-  // The AVX-512 8x8 micro-kernel, explicitly pinned. Registered from
+  // The AVX-512 12x16 micro-kernel, explicitly pinned. Registered from
   // main() only when the host can execute it, so the benchmark (and
   // the CI filter entry naming it) simply does not exist elsewhere.
   const auto n = static_cast<std::size_t>(state.range(0));

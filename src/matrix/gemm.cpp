@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <mutex>
 
 #include "matrix/kernel_dispatch.hpp"
 #include "util/aligned.hpp"
@@ -100,10 +97,10 @@ void gemm_tiled_unchecked(ConstView a, ConstView b, View c) {
 // longer compile-time constants: they are runtime BlockingParams
 // resolved by matrix/tuning.hpp (forced pin > per-host tuning cache >
 // at-first-use measured search > the historical 120/256/512 default).
-// Only the register-tile bounds stay static, for the edge-tile stack
-// buffer: the widest micro-kernel is the AVX-512 8x8.
-constexpr std::size_t kMaxMr = 8;
-constexpr std::size_t kMaxNr = 8;
+// Only the register-tile bound stays static: it sizes the edge-tile
+// stack buffer for the largest micro-kernel tile, the AVX-512 12x16.
+constexpr std::size_t kMaxMr = 12;
+constexpr std::size_t kMaxNr = 16;
 
 /// C[MR x NR] += packed_a (KC x MR slivers) * packed_b (KC x NR slivers).
 /// `c` has row stride ldc and is NOT assumed aligned.
@@ -193,51 +190,35 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2_6x8(
   _mm256_storeu_pd(r5 + 4, _mm256_add_pd(_mm256_loadu_pd(r5 + 4), c51));
 }
 
-/// AVX-512F 8x8 micro-kernel: 8 zmm accumulators (one full C row each),
-/// 1 aligned zmm B load (the sliver is 64-byte aligned and each k-step
-/// advances 8 doubles = exactly one cache line) and 1 broadcast+FMA per
-/// row per k. Half the register pressure of the AVX2 kernel for the
-/// same tile row count, leaving zmm8-31 free for the compiler to
-/// software-pipeline the loads.
-__attribute__((target("avx512f"))) void micro_kernel_avx512_8x8(
+/// AVX-512F 12x16 micro-kernel: 24 zmm accumulators (12 rows x 2
+/// vectors), 2 aligned zmm B loads per k (each k-step advances 16 doubles
+/// = two cache lines of the 64-byte-aligned sliver) and 1 broadcast + 2
+/// FMAs per row per k. The fixed-bound loops unroll fully, so the
+/// accumulators stay in registers with 8 zmm left for B and broadcasts.
+__attribute__((target("avx512f"))) void micro_kernel_avx512_12x16(
     std::size_t kc, const double* a, const double* b, double* c,
     std::size_t ldc) {
-  __m512d c0 = _mm512_setzero_pd();
-  __m512d c1 = _mm512_setzero_pd();
-  __m512d c2 = _mm512_setzero_pd();
-  __m512d c3 = _mm512_setzero_pd();
-  __m512d c4 = _mm512_setzero_pd();
-  __m512d c5 = _mm512_setzero_pd();
-  __m512d c6 = _mm512_setzero_pd();
-  __m512d c7 = _mm512_setzero_pd();
+  __m512d acc[12][2];
+#pragma GCC unroll 12
+  for (auto& row : acc) row[0] = row[1] = _mm512_setzero_pd();
   for (std::size_t k = 0; k < kc; ++k) {
-    const __m512d bk = _mm512_load_pd(b + k * 8);
-    const double* ak = a + k * 8;
-    c0 = _mm512_fmadd_pd(_mm512_set1_pd(ak[0]), bk, c0);
-    c1 = _mm512_fmadd_pd(_mm512_set1_pd(ak[1]), bk, c1);
-    c2 = _mm512_fmadd_pd(_mm512_set1_pd(ak[2]), bk, c2);
-    c3 = _mm512_fmadd_pd(_mm512_set1_pd(ak[3]), bk, c3);
-    c4 = _mm512_fmadd_pd(_mm512_set1_pd(ak[4]), bk, c4);
-    c5 = _mm512_fmadd_pd(_mm512_set1_pd(ak[5]), bk, c5);
-    c6 = _mm512_fmadd_pd(_mm512_set1_pd(ak[6]), bk, c6);
-    c7 = _mm512_fmadd_pd(_mm512_set1_pd(ak[7]), bk, c7);
+    const __m512d b0 = _mm512_load_pd(b + k * 16);
+    const __m512d b1 = _mm512_load_pd(b + k * 16 + 8);
+    const double* ak = a + k * 12;
+#pragma GCC unroll 12
+    for (std::size_t r = 0; r < 12; ++r) {
+      const __m512d ar = _mm512_set1_pd(ak[r]);
+      acc[r][0] = _mm512_fmadd_pd(ar, b0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_pd(ar, b1, acc[r][1]);
+    }
   }
-  double* r0 = c;
-  _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c0));
-  r0 += ldc;
-  _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c1));
-  r0 += ldc;
-  _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c2));
-  r0 += ldc;
-  _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c3));
-  r0 += ldc;
-  _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c4));
-  r0 += ldc;
-  _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c5));
-  r0 += ldc;
-  _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c6));
-  r0 += ldc;
-  _mm512_storeu_pd(r0, _mm512_add_pd(_mm512_loadu_pd(r0), c7));
+#pragma GCC unroll 12
+  for (std::size_t r = 0; r < 12; ++r) {
+    double* row = c + r * ldc;
+    _mm512_storeu_pd(row, _mm512_add_pd(_mm512_loadu_pd(row), acc[r][0]));
+    _mm512_storeu_pd(row + 8,
+                     _mm512_add_pd(_mm512_loadu_pd(row + 8), acc[r][1]));
+  }
 }
 #endif  // HMXP_X86_TARGETS
 
@@ -247,7 +228,7 @@ __attribute__((target("avx512f"))) void micro_kernel_avx512_8x8(
 MicroKernelInfo micro_kernel_info(MicroKernelVariant variant) {
 #ifdef HMXP_X86_TARGETS
   if (variant == MicroKernelVariant::kAvx512)
-    return {8, 8, &micro_kernel_avx512_8x8};
+    return {12, 16, &micro_kernel_avx512_12x16};
   if (variant == MicroKernelVariant::kAvx2Fma)
     return {6, 8, &micro_kernel_avx2_6x8};
 #else
@@ -429,44 +410,11 @@ void dispatch_serial(ConstView a, ConstView b, View c) {
 // through the active serial kernel on a disjoint C window. The pool is
 // shared and persistent -- no per-call thread spawn.
 
-util::ThreadPool& shared_gemm_pool() {
-  static util::ThreadPool pool;  // hardware_concurrency workers
-  return pool;
-}
-
-struct TileRun {
-  ConstView a;
-  ConstView b;
-  View c;
+/// Extents of the C-tile grid the parallel driver fans out.
+struct TileGrid {
   std::size_t tile_m = 0, tile_n = 0;
   std::size_t grid_m = 0, grid_n = 0;
-  std::atomic<std::size_t> cursor{0};
-
-  std::mutex mutex;
-  std::condition_variable done;
-  std::size_t helpers_running = 0;
-  std::exception_ptr error;
-
-  TileRun(ConstView a_in, ConstView b_in, View c_in)
-      : a(a_in), b(b_in), c(c_in) {}
-
-  std::size_t tile_count() const { return grid_m * grid_n; }
-
-  void drain() {
-    for (std::size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
-         t < tile_count();
-         t = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      const std::size_t ti = t / grid_n;
-      const std::size_t tj = t % grid_n;
-      const std::size_t i0 = ti * tile_m;
-      const std::size_t j0 = tj * tile_n;
-      const std::size_t rows = std::min(tile_m, c.rows() - i0);
-      const std::size_t cols = std::min(tile_n, c.cols() - j0);
-      dispatch_serial(subview(a, i0, 0, rows, a.cols()),
-                      subview(b, 0, j0, b.rows(), cols),
-                      subview(c, i0, j0, rows, cols));
-    }
-  }
+  std::size_t count() const { return grid_m * grid_n; }
 };
 
 /// Picks tile extents: start from the packed blocking (the RUNTIME
@@ -478,31 +426,35 @@ struct TileRun {
 /// buffer: every thread packs (first-touches) the B columns it
 /// multiplies, which places the panels on the worker's own NUMA node
 /// instead of sharing one master-packed copy across sockets.
-void choose_tiles(TileRun& run, std::size_t workers) {
-  const std::size_t m = run.c.rows();
-  const std::size_t n = run.c.cols();
+TileGrid choose_tiles(std::size_t m, std::size_t n, std::size_t workers) {
   // Non-packed tiers never consult BlockingParams; using the default
   // seed there avoids triggering an autotune search from a tiled run.
   const BlockingParams blocking = active_kernel_tier() == KernelTier::kPacked
                                       ? active_blocking()
                                       : kDefaultBlocking;
-  run.tile_m = blocking.mc;
-  run.tile_n = blocking.nc;
+  TileGrid tiles{blocking.mc, blocking.nc};
   const std::size_t target = 4 * workers;
-  auto grid = [&] {
-    run.grid_m = (m + run.tile_m - 1) / run.tile_m;
-    run.grid_n = (n + run.tile_n - 1) / run.tile_n;
-    return run.grid_m * run.grid_n;
+  auto count = [&] {
+    tiles.grid_m = (m + tiles.tile_m - 1) / tiles.tile_m;
+    tiles.grid_n = (n + tiles.tile_n - 1) / tiles.tile_n;
+    return tiles.count();
   };
-  while (grid() < target &&
-         (run.tile_m > kMaxMr * 2 || run.tile_n > kMaxNr * 2)) {
+  // Shrink no further than two register tiles of the active
+  // micro-kernel, so smaller tiles keep a finer grid.
+  const MicroKernelVariant variant = active_micro_kernel_variant();
+  const std::size_t nr = micro_kernel_nr(variant);
+  const std::size_t min_m = 2 * micro_kernel_mr(variant);
+  const std::size_t min_n = 2 * nr;
+  while (count() < target && (tiles.tile_m > min_m || tiles.tile_n > min_n)) {
     // Halve the larger extent, keeping micro-tile-multiple sizes.
-    if (run.tile_m >= run.tile_n && run.tile_m > kMaxMr * 2)
-      run.tile_m = round_up(run.tile_m / 2, kMaxMr * 2);
+    if (tiles.tile_m > min_m &&
+        (tiles.tile_m >= tiles.tile_n || tiles.tile_n <= min_n))
+      tiles.tile_m = round_up(tiles.tile_m / 2, min_m);
     else
-      run.tile_n = round_up(run.tile_n / 2, kMaxNr);
+      tiles.tile_n = round_up(tiles.tile_n / 2, nr);
   }
-  grid();
+  count();
+  return tiles;
 }
 
 }  // namespace
@@ -549,66 +501,26 @@ void gemm_auto(ConstView a, ConstView b, View c) {
 void gemm_parallel(ConstView a, ConstView b, View c, int threads) {
   check_shapes(a, b, c);
   if (c.rows() == 0 || c.cols() == 0) return;
-  util::ThreadPool& pool = shared_gemm_pool();
+  util::ThreadPool& pool = util::shared_pool();
   // Default: hardware_concurrency participants TOTAL (the caller counts
   // as one), matching the old per-call-spawn thread budget.
   const std::size_t want = threads > 0 ? static_cast<std::size_t>(threads)
                                        : static_cast<std::size_t>(pool.size());
 
-  TileRun run(a, b, c);
-  choose_tiles(run, want);
-  // Helpers beyond the tile count (or the pool) would only idle.
-  const std::size_t helpers =
-      std::min({want - 1, static_cast<std::size_t>(pool.size()),
-                run.tile_count() - 1});
-  if (helpers == 0) {
+  const TileGrid grid = choose_tiles(c.rows(), c.cols(), want);
+  if (want <= 1 || grid.count() <= 1) {
     dispatch_serial(a, b, c);
     return;
   }
-
-  {
-    const std::lock_guard<std::mutex> lock(run.mutex);
-    run.helpers_running = helpers;
-  }
-  // If a submit throws (bad_alloc, pool shutting down), the helpers
-  // already queued still hold &run: un-count the never-submitted rest,
-  // then fall through to the normal drain-and-wait so the stack frame
-  // outlives every queued helper, and rethrow only after the join.
-  std::exception_ptr submit_error;
-  for (std::size_t submitted = 0; submitted < helpers; ++submitted) {
-    try {
-      pool.submit([&run] {
-        std::exception_ptr error;
-        try {
-          run.drain();
-        } catch (...) {
-          error = std::current_exception();
-        }
-        const std::lock_guard<std::mutex> lock(run.mutex);
-        if (error != nullptr && run.error == nullptr) run.error = error;
-        if (--run.helpers_running == 0) run.done.notify_all();
-      });
-    } catch (...) {
-      submit_error = std::current_exception();
-      const std::lock_guard<std::mutex> lock(run.mutex);
-      run.helpers_running -= helpers - submitted;
-      break;
-    }
-  }
-  // The caller is a full participant: it steals tiles like any helper,
-  // which also guarantees progress when the pool is busy elsewhere.
-  std::exception_ptr own_error;
-  try {
-    run.drain();
-  } catch (...) {
-    own_error = std::current_exception();
-  }
-  std::unique_lock<std::mutex> lock(run.mutex);
-  run.done.wait(lock, [&run] { return run.helpers_running == 0; });
-  lock.unlock();
-  if (own_error != nullptr) std::rethrow_exception(own_error);
-  if (run.error != nullptr) std::rethrow_exception(run.error);
-  if (submit_error != nullptr) std::rethrow_exception(submit_error);
+  util::parallel_drain(pool, grid.count(), want, [&](std::size_t t) {
+    const std::size_t i0 = t / grid.grid_n * grid.tile_m;
+    const std::size_t j0 = t % grid.grid_n * grid.tile_n;
+    const std::size_t rows = std::min(grid.tile_m, c.rows() - i0);
+    const std::size_t cols = std::min(grid.tile_n, c.cols() - j0);
+    dispatch_serial(subview(a, i0, 0, rows, a.cols()),
+                    subview(b, 0, j0, b.rows(), cols),
+                    subview(c, i0, j0, rows, cols));
+  });
 }
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& c) {

@@ -158,14 +158,14 @@ std::size_t micro_kernel_mr(MicroKernelVariant variant) {
     case MicroKernelVariant::kAvx2Fma:
       return 6;
     case MicroKernelVariant::kAvx512:
-      return 8;
+      return 12;
   }
   return 4;
 }
 
 std::size_t micro_kernel_nr(MicroKernelVariant variant) {
-  (void)variant;  // every implementation accumulates 8-wide rows of C
-  return 8;
+  // Two zmm (8 doubles each) wide on AVX-512; 8 doubles elsewhere.
+  return variant == MicroKernelVariant::kAvx512 ? 16 : 8;
 }
 
 bool cpu_supports_avx2_fma() {

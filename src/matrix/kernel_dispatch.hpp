@@ -13,7 +13,7 @@
 //
 //  * the packed tier's MICRO-KERNEL VARIANT -- which ISA implements the
 //    register tile, widest supported first:
-//      kAvx512   -- 8x8, zmm accumulators (AVX-512F);
+//      kAvx512   -- 12x16, zmm accumulators (AVX-512F);
 //      kAvx2Fma  -- 6x8, ymm accumulators (AVX2+FMA);
 //      kPortable -- 4x8, auto-vectorized scalar (baseline x86-64 or
 //                   any other architecture).
@@ -119,7 +119,7 @@ std::size_t micro_kernel_nr(MicroKernelVariant variant);
 bool cpu_supports_avx2_fma();
 
 /// True when the running CPU can execute the AVX-512 micro-kernel
-/// (AVX-512F is sufficient for the 8x8 double kernel).
+/// (AVX-512F is sufficient for the 12x16 double kernel).
 bool cpu_supports_avx512();
 
 /// True when `variant` can execute on this host.

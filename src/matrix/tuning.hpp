@@ -55,8 +55,8 @@ struct BlockingParams {
 };
 
 /// The historical hardcoded blocking (valid for every micro-kernel:
-/// 120 is a multiple of 4, 6 and 8; 512 of 8). Also the search's
-/// safety candidate: the winner can never regress below it.
+/// 120 is a multiple of MR = 4, 6, 12; 512 of NR = 8, 16). Also the
+/// search's safety candidate: the winner can never regress below it.
 inline constexpr BlockingParams kDefaultBlocking{120, 256, 512};
 
 /// "MCxKCxNC", e.g. "120x256x512".

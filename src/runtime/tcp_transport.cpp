@@ -184,10 +184,17 @@ class TcpWorkerPort final : public WorkerPort {
         compress_(compress) {}
 
   std::optional<WorkerMessage> receive() override {
+    // The cancel lookahead (try_receive) may consume the goodbye; the
+    // latch keeps it observed, so the follow-up blocking receive()
+    // still exits cleanly instead of reading the EOF behind it as a
+    // dropped link and redialing a master that is reaping its workers.
+    if (goodbye_) return std::nullopt;
     if (!read_frame(fd_, body_, max_frame_bytes_))
       throw PeerDisconnected("connection closed without a goodbye");
-    if (serde::frame_type(body_.data(), body_.size()) == FrameType::kGoodbye)
+    if (serde::frame_type(body_.data(), body_.size()) == FrameType::kGoodbye) {
+      goodbye_ = true;
       return std::nullopt;  // clean shutdown: done for good
+    }
     if (serde::frame_type(body_.data(), body_.size()) ==
         FrameType::kCompressed) {
       serde::decode_compressed(body_.data(), body_.size(), max_frame_bytes_,
@@ -239,6 +246,7 @@ class TcpWorkerPort final : public WorkerPort {
   BufferPool* pool_;
   std::uint64_t max_frame_bytes_;
   bool compress_;
+  bool goodbye_ = false;
   ByteBuffer body_;
   ByteBuffer raw_;
   ByteBuffer tx_;

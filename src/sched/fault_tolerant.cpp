@@ -75,28 +75,21 @@ FaultTolerantScheduler::FaultTolerantScheduler(
 
 void FaultTolerantScheduler::absorb_failures(const sim::ExecutionView& view) {
   const auto workers = static_cast<std::size_t>(view.worker_count());
-  if (known_alive_.size() != workers) {
-    known_alive_.assign(workers, true);
-    in_flight_.assign(workers, std::nullopt);
-  }
+  if (in_flight_.size() != workers) in_flight_.assign(workers, std::nullopt);
   for (std::size_t w = 0; w < workers; ++w) {
-    // Confirm completions from the view's ground truth: the shadow
-    // clears only once the worker's returned-chunk count moved past
-    // its assign-time value.
-    if (in_flight_[w].has_value() &&
-        view.progress(static_cast<int>(w)).chunks_returned >
-            in_flight_[w]->returned_before)
+    if (!in_flight_[w].has_value()) continue;
+    // Settle the shadow from the view's ground truth, the worker's chunk
+    // counts, never its liveness: a worker that died and was re-admitted
+    // (TCP reconnect) since the last consultation looks alive and idle.
+    // The chunk is lost once the lost count moves, or if the assigned
+    // count never did: the online backend rolled the SendC back because
+    // the worker died under its real half, before the chunk was counted.
+    const sim::WorkerProgress& progress = view.progress(static_cast<int>(w));
+    const Shadow& shadow = *in_flight_[w];
+    if (progress.chunks_returned > shadow.returned_before) {
       in_flight_[w].reset();
-    if (!known_alive_[w]) {
-      // A worker can come BACK (TCP reconnect re-admission): re-arm the
-      // death detector, or a second loss of the same worker would slip
-      // by with its in-flight chunk never orphaned.
-      if (view.alive(static_cast<int>(w))) known_alive_[w] = true;
-      continue;
-    }
-    if (view.alive(static_cast<int>(w))) continue;
-    known_alive_[w] = false;
-    if (in_flight_[w].has_value()) {
+    } else if (progress.chunks_lost > shadow.lost_before ||
+               progress.chunks_assigned == shadow.assigned_before) {
       orphans_.push_back(std::move(in_flight_[w]->plan));
       in_flight_[w].reset();
     }
@@ -160,8 +153,9 @@ sim::Decision FaultTolerantScheduler::track(const sim::ExecutionView& view,
   if (decision.kind == sim::Decision::Kind::kComm &&
       decision.comm == sim::CommKind::kSendC) {
     const auto w = static_cast<std::size_t>(decision.worker);
-    in_flight_[w] =
-        Shadow{decision.chunk, view.progress(decision.worker).chunks_returned};
+    const sim::WorkerProgress& progress = view.progress(decision.worker);
+    in_flight_[w] = Shadow{decision.chunk, progress.chunks_assigned,
+                           progress.chunks_returned, progress.chunks_lost};
   }
   return decision;
 }

@@ -2,12 +2,12 @@
 // survive permanent worker loss.
 //
 // The wrapper shadows the chunk each worker currently holds (it sees
-// every decision it returns). When the view reports a worker newly dead
-// (FaultSchedule event in the simulator, a dead thread in the online
-// runtime), the backend has already returned the lost chunk's blocks to
-// the pending set; the wrapper moves its shadow copy onto an orphan
-// queue and re-issues it to a survivor ahead of the inner policy's own
-// decisions:
+// every decision it returns). When the view counts that chunk lost (a
+// FaultSchedule event in the simulator, a dead thread or connection in
+// the online runtime -- even one re-admitted since), the backend has
+// already returned its blocks to the pending set; the wrapper moves its
+// shadow copy onto an orphan queue and re-issues it to a survivor ahead
+// of the inner policy's own decisions:
 //
 //   * the re-issue target is the free surviving worker with the best
 //     estimated chunk completion under the view's CALIBRATED speeds
@@ -56,20 +56,24 @@ class FaultTolerantScheduler final : public sim::Scheduler {
   std::size_t orphan_count() const { return orphans_.size(); }
 
  private:
-  /// Shadow of a chunk handed to a worker, plus the worker's
-  /// chunks_returned count at assign time: the chunk is confirmed done
-  /// only once the view's count moves past it. (A returned RecvC
-  /// decision proves nothing -- the online backend rolls a decision
-  /// back when the worker dies under its real half.)
+  /// Shadow of a chunk handed to a worker, plus the worker's chunk
+  /// counts just before its SendC: the chunk is confirmed done once the
+  /// view's returned count moves past its value, and lost once the lost
+  /// count does, or if the assigned count never moved (the SendC was
+  /// rolled back). A returned decision proves nothing -- the online
+  /// backend rolls a decision back when the worker dies under its real
+  /// half. Nor does liveness: a TCP worker can die and be re-admitted
+  /// between two consultations.
   struct Shadow {
     sim::ChunkPlan plan;
+    model::BlockCount assigned_before = 0;
     model::BlockCount returned_before = 0;
+    model::BlockCount lost_before = 0;
   };
 
   std::string name_;
   std::unique_ptr<sim::Scheduler> inner_;
   std::vector<std::optional<Shadow>> in_flight_;  // lazily sized
-  std::vector<bool> known_alive_;
   std::deque<sim::ChunkPlan> orphans_;
 
   void absorb_failures(const sim::ExecutionView& view);

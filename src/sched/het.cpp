@@ -4,24 +4,31 @@
 #include <limits>
 
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hmxp::sched {
 
 HetSelection select_het(const platform::Platform& platform,
                         const matrix::Partition& partition) {
+  // The eight simulations are independent: run them concurrently, each
+  // into its own slot, then pick the first strict minimum in variant
+  // order -- the serial loop's answer whatever the thread count.
+  const std::vector<HetVariant> variants = all_het_variants();
   HetSelection selection;
+  selection.variant_makespans.resize(variants.size());
+  std::vector<std::vector<sim::Decision>> logs(variants.size());
+  util::ThreadPool& pool = util::shared_pool();
+  util::parallel_drain(pool, variants.size(), pool.size(), [&](std::size_t v) {
+    IncrementalScheduler scheduler(platform, partition, variants[v]);
+    selection.variant_makespans[v] =
+        sim::simulate(scheduler, platform, partition, false, &logs[v]).makespan;
+  });
   selection.predicted_makespan = std::numeric_limits<model::Time>::infinity();
-
-  for (const HetVariant& variant : all_het_variants()) {
-    IncrementalScheduler scheduler(platform, partition, variant);
-    std::vector<sim::Decision> decisions;
-    const sim::RunResult result = sim::simulate(
-        scheduler, platform, partition, /*record_trace=*/false, &decisions);
-    selection.variant_makespans.push_back(result.makespan);
-    if (result.makespan < selection.predicted_makespan) {
-      selection.predicted_makespan = result.makespan;
-      selection.variant = variant;
-      selection.decisions = std::move(decisions);
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    if (selection.variant_makespans[v] < selection.predicted_makespan) {
+      selection.predicted_makespan = selection.variant_makespans[v];
+      selection.variant = variants[v];
+      selection.decisions = std::move(logs[v]);
     }
   }
   HMXP_CHECK(!selection.decisions.empty(), "Het selection produced no plan");

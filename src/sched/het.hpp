@@ -25,7 +25,10 @@ struct HetSelection {
   std::vector<model::Time> variant_makespans;
 };
 
-/// Runs phase 1: simulates all eight variants, keeps the best.
+/// Runs phase 1: simulates all eight variants concurrently on
+/// util::shared_pool() and keeps the first strict minimum in
+/// all_het_variants() order -- the same variant, makespans and decision
+/// log as simulating them one after another.
 HetSelection select_het(const platform::Platform& platform,
                         const matrix::Partition& partition);
 

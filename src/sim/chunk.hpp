@@ -48,6 +48,7 @@ struct ChunkPlan {
   /// Peak simultaneous buffers: C blocks + (1 + prefetch) operand
   /// batches, or the explicit override for streaming layouts.
   model::BlockCount peak_buffers() const;
+  bool operator==(const ChunkPlan&) const = default;
 };
 
 /// Chunk under the paper's layout: t steps, each with rect.rows() A

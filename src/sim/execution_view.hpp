@@ -50,6 +50,7 @@ struct Decision {
   /// Revoke the worker's in-flight chunk without killing the worker: it
   /// drops the chunk, keeps its territory and stays schedulable.
   static Decision cancel(int worker);
+  bool operator==(const Decision&) const = default;
 };
 
 /// Dynamic state of one worker, exposed read-only to schedulers. Times

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/check.hpp"
 
@@ -71,6 +72,55 @@ void ThreadPool::worker_loop() {
       if (in_flight_ == 0) all_done_.notify_all();
     }
   }
+}
+
+ThreadPool& shared_pool() {
+  static ThreadPool pool;  // hardware_concurrency workers
+  return pool;
+}
+
+void parallel_drain(ThreadPool& pool, std::size_t count,
+                    std::size_t participants,
+                    const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> cursor{0};
+  std::mutex mutex;
+  std::condition_variable done;
+  std::exception_ptr error;
+  const auto drain = [&] {
+    try {
+      for (std::size_t i;
+           (i = cursor.fetch_add(1, std::memory_order_relaxed)) < count;)
+        body(i);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (error == nullptr) error = std::current_exception();
+    }
+  };
+  // Helpers beyond the item count (or the pool) would only idle.
+  const std::size_t total = std::max<std::size_t>(
+      1, std::min({participants, static_cast<std::size_t>(pool.size()) + 1,
+                   count}));
+  std::size_t running = total - 1;  // helpers not yet finished
+  for (std::size_t helper = 1; helper < total; ++helper) {
+    try {
+      pool.submit([&] {
+        drain();
+        // Notify under the lock: the caller cannot return (ending this
+        // frame) before the last helper has released it.
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (--running == 0) done.notify_all();
+      });
+    } catch (...) {  // bad_alloc or a stopping pool: fewer helpers
+      const std::lock_guard<std::mutex> lock(mutex);
+      running -= total - helper;
+      if (error == nullptr) error = std::current_exception();
+      break;
+    }
+  }
+  drain();
+  std::unique_lock<std::mutex> lock(mutex);
+  done.wait(lock, [&] { return running == 0; });
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace hmxp::util

@@ -1,8 +1,8 @@
 // A small fixed-size thread pool for fanning independent work items
 // across cores: the experiment pipeline's instance x algorithm cells,
-// and (through matrix::gemm_parallel's process-wide shared instance)
-// the 2-D C-tile work items of the parallel GEMM driver -- kernels no
-// longer spawn threads per call.
+// and (through parallel_drain on the process-wide shared_pool) the 2-D
+// C-tile work items of the parallel GEMM driver and Het's eight variant
+// simulations -- kernels no longer spawn threads per call.
 //
 // Semantics are deliberately minimal: submit() enqueues a task, the
 // workers drain the queue FIFO, wait_idle() blocks until every submitted
@@ -58,5 +58,20 @@ class ThreadPool {
   std::exception_ptr first_error_;
   bool stopping_ = false;
 };
+
+/// The process-wide persistent pool (hardware_concurrency workers) that
+/// gemm_parallel and Het's variant selection fan out over.
+ThreadPool& shared_pool();
+
+/// Runs body(i) once for every i in [0, count) on at most `participants`
+/// threads -- the caller plus helpers from `pool` -- all claiming indices
+/// from one atomic cursor, so a fast thread simply claims more. The
+/// caller always takes part, so progress never waits on a busy pool.
+/// Returns once every helper has finished, rethrowing the first
+/// exception any participant threw. Results are deterministic when
+/// body(i) writes only to slot i.
+void parallel_drain(ThreadPool& pool, std::size_t count,
+                    std::size_t participants,
+                    const std::function<void(std::size_t)>& body);
 
 }  // namespace hmxp::util

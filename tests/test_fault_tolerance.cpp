@@ -150,6 +150,59 @@ TEST(FaultTolerant, ReplanSplitsChunksToFitSmallerMemory) {
   EXPECT_EQ(pass[0].rect, big.rect);
 }
 
+TEST(FaultTolerant, ReissuesAChunkLostBetweenTwoDecisions) {
+  // Between two consultations of the scheduler a worker can lose its
+  // chunk and be re-admitted (TCP reconnect), so the policy sees it
+  // alive and idle, never dead. Or it can die under the real half of a
+  // SendC: the online backend restores its mirror engine, then fails
+  // the worker, which holds no chunk, so no loss is counted; it too may
+  // be re-admitted. The policy has already carved the chunk out of its
+  // work either way, so the wrapper must re-issue it.
+  struct Cut {
+    bool rolled_back_send;
+    bool rejoins;
+  };
+  const auto plat = stress_platform();
+  const auto part = stress_partition();
+  for (const std::string& name : ft_names()) {
+    for (const Cut cut : {Cut{false, true}, Cut{true, false}, Cut{true, true}}) {
+      SCOPED_TRACE(name + (cut.rolled_back_send ? " rolled-back SendC"
+                                                : " lost after SendAB") +
+                   (cut.rejoins ? ", rejoins" : ", stays dead"));
+      const sim::CommKind severing_comm =
+          cut.rolled_back_send ? sim::CommKind::kSendC : sim::CommKind::kSendAB;
+      auto scheduler = sched::Registry::instance().make(name, plat, part);
+      sim::Engine engine(plat, part);
+      sim::EngineState before;
+      int severed = -1;  // the worker of the first severing decision
+      std::size_t decisions = 0;
+      for (sim::Decision decision = scheduler->next(engine);
+           decision.kind != sim::Decision::Kind::kDone;
+           decision = scheduler->next(engine)) {
+        ASSERT_LT(decisions, 10000u);
+        const bool sever = severed < 0 &&
+                           decision.kind == sim::Decision::Kind::kComm &&
+                           decision.comm == severing_comm;
+        if (sever && cut.rolled_back_send) engine.snapshot_into(before);
+        engine.execute(decision);
+        if (!sever || !cut.rolled_back_send) ++decisions;
+        if (!sever) continue;
+        severed = decision.worker;
+        if (cut.rolled_back_send) engine.restore(before);
+        engine.fail_worker(severed);
+        if (cut.rejoins) engine.revive_worker(severed);
+      }
+      ASSERT_GE(severed, 0);
+      EXPECT_EQ(engine.progress(severed).chunks_lost,
+                cut.rolled_back_send ? 0 : 1);
+      // collect_result proves exact coverage: every block assigned,
+      // computed and returned once.
+      EXPECT_EQ(sim::collect_result(name, engine, decisions).updates,
+                kStressUpdates);
+    }
+  }
+}
+
 // ---- stress matrix: simulator backend ---------------------------------------
 
 class FtSimStress

@@ -2,9 +2,12 @@
 // agree with the naive oracle on arbitrary (including degenerate)
 // shapes -- randomized rectangular sweeps, unaligned sub-window views,
 // every dispatch tier -- and all kernels must accumulate rather than
-// overwrite.
+// overwrite. The FMA micro-kernels must also match a scalar std::fma
+// oracle bit for bit, whatever their register tile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -286,7 +289,7 @@ TEST(Gemm, Avx512MatchesNaiveOracleOnRandomShapes) {
   util::Rng rng(0x512);
   force_micro_kernel_variant(MicroKernelVariant::kAvx512);
   EXPECT_STREQ(packed_kernel_variant(), "avx512");
-  // Randomized rectangular shapes spanning full 8x8 tiles, ragged
+  // Randomized rectangular shapes spanning full register tiles, ragged
   // edges, and degenerate rows/columns.
   std::vector<Shape> shapes = {{8, 8, 8},   {64, 64, 64}, {1, 50, 9},
                                {9, 1, 17},  {120, 256, 8}, {7, 7, 7},
@@ -336,6 +339,81 @@ TEST(Gemm, EverySupportedVariantMatchesOracle) {
         << micro_kernel_variant_name(variant);
   }
   force_micro_kernel_variant(std::nullopt);
+}
+
+/// C0 + A*B accumulated the way every FMA micro-kernel does it: per KC
+/// panel of the inner dimension, each C element sums its products in k
+/// order into a zeroed accumulator with one fused multiply-add per
+/// step, then adds the accumulator to C. The register tile (MR x NR)
+/// and the MC/NC blocking do not enter: they only group elements.
+Matrix fma_oracle(const Matrix& a, const Matrix& b, const Matrix& c0,
+                  std::size_t kc) {
+  Matrix c = c0;
+  for (std::size_t k0 = 0; k0 < a.cols(); k0 += kc) {
+    const std::size_t k1 = std::min(a.cols(), k0 + kc);
+    for (std::size_t i = 0; i < c.rows(); ++i)
+      for (std::size_t j = 0; j < c.cols(); ++j) {
+        double acc = 0.0;
+        for (std::size_t k = k0; k < k1; ++k)
+          acc = std::fma(a.at(i, k), b.at(k, j), acc);
+        c.at(i, j) += acc;
+      }
+  }
+  return c;
+}
+
+TEST(Gemm, FmaVariantsBitIdenticalToScalarFmaOracle) {
+  // Exact equality, not a tolerance: C must not change by one bit when
+  // a micro-kernel's register tile or the blocking's MC/NC change.
+  util::Rng rng(0xB17E);
+  const struct {
+    std::size_t m, k, n;
+  } shapes[] = {{1, 1, 1},    {7, 300, 9},  {67, 43, 29},
+                {611, 13, 5}, {5, 13, 611}, {121, 260, 131}};
+  std::size_t checked = 0;
+  for (const MicroKernelVariant variant :
+       {MicroKernelVariant::kAvx2Fma, MicroKernelVariant::kAvx512}) {
+    if (!micro_kernel_supported(variant)) continue;
+    const std::size_t mr = micro_kernel_mr(variant);
+    const std::size_t nr = micro_kernel_nr(variant);
+    const BlockingParams blockings[] = {
+        kDefaultBlocking,
+        {mr * 1, 4, nr * 1},
+        {mr * 2, 5, nr * 2},
+        {mr * 5, 37, nr * 3},
+        {mr * 10, 512, nr * 8},
+    };
+    for (const BlockingParams& blocking : blockings) {
+      for (const auto& shape : shapes) {
+        const Matrix a = Matrix::random(shape.m, shape.k, rng);
+        const Matrix b = Matrix::random(shape.k, shape.n, rng);
+        const Matrix c0 = Matrix::random(shape.m, shape.n, rng);
+        const Matrix expected = fma_oracle(a, b, c0, blocking.kc);
+        Matrix c = c0;
+        gemm_simd_with_blocking(a.view(), b.view(), c.view(), blocking,
+                                variant);
+        EXPECT_TRUE(c == expected)
+            << micro_kernel_variant_name(variant) << " "
+            << blocking_to_string(blocking) << " @ " << shape.m << "x"
+            << shape.k << "x" << shape.n << ": max |diff| "
+            << Matrix::max_abs_diff(c, expected);
+        ++checked;
+      }
+    }
+    // The parallel driver splits C only, never K, so it is exact too.
+    force_micro_kernel_variant(variant);
+    force_blocking(kDefaultBlocking);
+    const Matrix a = Matrix::random(250, 300, rng);
+    const Matrix b = Matrix::random(300, 270, rng);
+    const Matrix c0 = Matrix::random(250, 270, rng);
+    Matrix c = c0;
+    gemm_parallel(a.view(), b.view(), c.view(), 3);
+    force_blocking(std::nullopt);
+    force_micro_kernel_variant(std::nullopt);
+    EXPECT_TRUE(c == fma_oracle(a, b, c0, kDefaultBlocking.kc))
+        << micro_kernel_variant_name(variant) << " gemm_parallel";
+  }
+  if (checked == 0) GTEST_SKIP() << "host runs no FMA micro-kernel";
 }
 
 // ---- kernel pins ------------------------------------------------------------
@@ -389,11 +467,12 @@ TEST(Gemm, ExplicitBlockingEdgeShapes) {
   // agree with the oracle bit-for-tolerance.
   util::Rng rng(0xB10C);
   const std::size_t mr = micro_kernel_mr(active_micro_kernel_variant());
+  const std::size_t nr = micro_kernel_nr(active_micro_kernel_variant());
   const BlockingParams cases[] = {
-      {mr * 1, 4, 8},      // minimal legal blocking
-      {mr * 2, 5, 16},     // tiny KC, non-dividing everything
-      {mr * 5, 37, 24},    // odd KC
-      {mr * 10, 512, 64},  // KC deeper than the problem
+      {mr * 1, 4, nr * 1},     // minimal legal blocking
+      {mr * 2, 5, nr * 2},     // tiny KC, non-dividing everything
+      {mr * 5, 37, nr * 3},    // odd KC
+      {mr * 10, 512, nr * 8},  // KC deeper than the problem
   };
   const struct {
     std::size_t m, k, n;

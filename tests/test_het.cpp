@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "platform/generator.hpp"
 #include "sched/het.hpp"
@@ -119,6 +120,54 @@ TEST(Het, LookaheadScratchProjectionsTrackObservedSlowdown) {
 
   EXPECT_GT(perturbed.makespan, baseline.makespan);
   EXPECT_LT(perturbed_engine.progress(1).updates_assigned, baseline_updates);
+}
+
+TEST(Het, ConcurrentSelectionMatchesSerialLoop) {
+  // select_het simulates the eight variants concurrently; the outcome
+  // must be exactly what simulating them one after another and keeping
+  // the first strict minimum gives -- same variant, same makespans, same
+  // decision log -- on every call.
+  const platform::Platform paper_q80(
+      "paper-q80", {platform::WorkerSpec{5e-6, 3e-5, 12, "mu2"},
+                    platform::WorkerSpec{5e-6, 3e-5, 21, "mu3"},
+                    platform::WorkerSpec{5e-6, 3e-5, 32, "mu4"}});
+  const struct {
+    platform::Platform platform;
+    matrix::Partition partition;
+  } cases[] = {
+      {paper_q80, matrix::Partition(1280, 1280, 1280, 80)},
+      {platform::hetero_memory(), blocks(20, 8, 50)},
+      {platform::hetero_links(), blocks(15, 8, 40)},
+      {platform::fully_hetero(4.0), blocks(30, 10, 60)},
+  };
+  for (const auto& instance : cases) {
+    std::vector<model::Time> makespans;
+    std::vector<sim::Decision> best_log;
+    std::size_t best = 0;
+    for (const HetVariant& variant : all_het_variants()) {
+      IncrementalScheduler scheduler(instance.platform, instance.partition,
+                                     variant);
+      std::vector<sim::Decision> log;
+      makespans.push_back(sim::simulate(scheduler, instance.platform,
+                                        instance.partition, false, &log)
+                              .makespan);
+      if (makespans.size() == 1 || makespans.back() < makespans[best]) {
+        best = makespans.size() - 1;
+        best_log = std::move(log);
+      }
+    }
+    for (int call = 0; call < 3; ++call) {
+      const HetSelection selection =
+          select_het(instance.platform, instance.partition);
+      EXPECT_EQ(selection.variant.name(), all_het_variants()[best].name())
+          << instance.platform.name();
+      EXPECT_EQ(selection.variant_makespans, makespans)
+          << instance.platform.name();
+      EXPECT_EQ(selection.predicted_makespan, makespans[best]);
+      EXPECT_TRUE(selection.decisions == best_log)
+          << instance.platform.name() << " call " << call;
+    }
+  }
 }
 
 TEST(Het, RespectsPerWorkerMemoryInChunks) {

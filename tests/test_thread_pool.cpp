@@ -1,10 +1,15 @@
 // util::ThreadPool semantics: all submitted tasks run, wait_idle blocks
 // until completion and rethrows the first task exception, and index-slot
 // writes give deterministic results regardless of completion order.
+// parallel_drain runs each index once, with the caller taking part, and
+// rethrows only once no participant is still running.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -67,6 +72,46 @@ TEST(ThreadPool, RejectsInvalidArguments) {
   EXPECT_THROW(ThreadPool(-1), std::invalid_argument);
   ThreadPool pool(1);
   EXPECT_THROW(pool.submit(nullptr), std::invalid_argument);
+}
+
+TEST(ParallelDrain, RunsEveryIndexExactlyOnce) {
+  ThreadPool pool(3);
+  for (const std::size_t participants : {0u, 1u, 2u, 4u, 16u}) {
+    std::vector<std::atomic<int>> hits(100);
+    parallel_drain(pool, hits.size(), participants,
+                   [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (const std::atomic<int>& hit : hits)
+      EXPECT_EQ(hit.load(), 1) << participants << " participants";
+  }
+  parallel_drain(pool, 0, 4, [](std::size_t) { FAIL() << "no items"; });
+}
+
+TEST(ParallelDrain, OneParticipantIsTheCallerAlone) {
+  ThreadPool pool(2);
+  std::vector<std::thread::id> ran(20);
+  parallel_drain(pool, ran.size(), 1, [&ran](std::size_t i) {
+    ran[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(ParallelDrain, RethrowsOnlyAfterEveryParticipantStopped) {
+  ThreadPool pool(3);
+  std::atomic<int> inside{0};
+  EXPECT_THROW(parallel_drain(pool, 64, 4,
+                              [&inside](std::size_t i) {
+                                inside.fetch_add(1);
+                                std::this_thread::sleep_for(
+                                    std::chrono::microseconds(200));
+                                inside.fetch_sub(1);
+                                if (i == 5) throw std::runtime_error("item 5");
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(inside.load(), 0);
+  // The pool is still usable afterwards.
+  std::atomic<int> counter{0};
+  parallel_drain(pool, 10, 4, [&counter](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 10);
 }
 
 }  // namespace

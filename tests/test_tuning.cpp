@@ -94,6 +94,19 @@ TEST(Tuning, BlockingToStringAndValidate) {
                std::invalid_argument);
 }
 
+TEST(Tuning, DefaultBlockingValidForEveryMicroKernel) {
+  // kDefaultBlocking is the fallback and the search's safety candidate
+  // for every variant, including ones this host cannot execute, so it
+  // must fit every register tile.
+  for (const MicroKernelVariant variant :
+       {MicroKernelVariant::kPortable, MicroKernelVariant::kAvx2Fma,
+        MicroKernelVariant::kAvx512})
+    EXPECT_NO_THROW(validate_blocking(kDefaultBlocking,
+                                      micro_kernel_mr(variant),
+                                      micro_kernel_nr(variant)))
+        << micro_kernel_variant_name(variant);
+}
+
 TEST(Tuning, TuneModeNamesParseBothWays) {
   for (const TuneMode mode : {TuneMode::kOff, TuneMode::kAuto,
                               TuneMode::kForce, TuneMode::kSmoke}) {
@@ -131,15 +144,20 @@ TEST(Tuning, CandidatesAreValidDeterministicAndIncludeTheBaseline) {
 }
 
 TEST(Tuning, CacheKeyNamesTheVariantAndRegisterTile) {
+  const auto tile = [](MicroKernelVariant variant) {
+    return "mr" + std::to_string(micro_kernel_mr(variant)) + "nr" +
+           std::to_string(micro_kernel_nr(variant));
+  };
   const std::string portable = tuning_cache_key(MicroKernelVariant::kPortable);
   EXPECT_NE(portable.find("portable"), std::string::npos);
-  EXPECT_NE(portable.find("mr4nr8"), std::string::npos);
+  EXPECT_NE(portable.find(tile(MicroKernelVariant::kPortable)),
+            std::string::npos);
   const std::string avx2 = tuning_cache_key(MicroKernelVariant::kAvx2Fma);
   EXPECT_NE(avx2.find("avx2+fma"), std::string::npos);
-  EXPECT_NE(avx2.find("mr6nr8"), std::string::npos);
+  EXPECT_NE(avx2.find(tile(MicroKernelVariant::kAvx2Fma)), std::string::npos);
   const std::string avx512 = tuning_cache_key(MicroKernelVariant::kAvx512);
   EXPECT_NE(avx512.find("avx512"), std::string::npos);
-  EXPECT_NE(avx512.find("mr8nr8"), std::string::npos);
+  EXPECT_NE(avx512.find(tile(MicroKernelVariant::kAvx512)), std::string::npos);
   // Distinct variants can never collide on one host.
   EXPECT_NE(portable, avx2);
   EXPECT_NE(avx2, avx512);
