@@ -103,17 +103,6 @@ struct ExecutorOptions {
   /// worker -- a throttled channel whose link speeds drift mid-run
   /// exactly like the simulator's c_i perturbation.
   double throttle_block_seconds = 0.0;
-  /// Wire-level compression on the TCP transport (zero-RLE byte codec,
-  /// runtime/wire_compress.hpp): frames above a threshold ship
-  /// compressed whenever the codec actually shrinks them. Aimed at the
-  /// bandwidth-bound regime the paper's CCR analysis prices; a no-op on
-  /// the local transports (which never serialize or are memory-bound).
-  bool wire_compression = false;
-  /// Hard ceiling on one wire frame, in bytes; 0 (the default) derives
-  /// it from the partition geometry (serde::max_frame_bytes_for). A
-  /// frame whose length prefix exceeds the ceiling is protocol
-  /// corruption: the endpoint fails cleanly instead of allocating.
-  std::size_t max_frame_bytes = 0;
 };
 
 /// Speculation telemetry: proactive duplicates the run issued and how

@@ -1,14 +1,15 @@
 // ProcessTransport: one worker PROCESS per worker, the in-machine
 // stand-in for the companion report's real-cluster MPI deployment.
 //
-// Topology: the master owns one socketpair(2) per worker; each child is
-// forked (no exec -- it inherits the executor's options, schedules and
-// kernel state copy-on-write) and runs the same worker_main as a thread
-// worker, over a SocketWorkerPort that reads/writes length-prefixed
-// frames (runtime/serde.hpp). A forked worker is REALLY isolated: a
-// SIGKILL, an abort, or an OOM kill surfaces to the master as a socket
-// EOF -- a first-class worker failure the fault-tolerant master
-// recovers from exactly like a dead thread.
+// The framed core (runtime/framed_endpoint.hpp) over a socketpair(2)
+// per worker, and nothing more. Each child is forked (no exec -- it
+// inherits the executor's options, schedules and kernel state
+// copy-on-write), answers with its bootstrap hello, and runs the same
+// worker_main as a thread worker over a FramedWorkerPort. A forked
+// worker is REALLY isolated: a SIGKILL, an abort, or an OOM kill
+// surfaces to the master as a socket EOF -- a first-class worker
+// failure the fault-tolerant master recovers from exactly like a dead
+// thread.
 //
 // Backpressure: the channel bound of the thread transport becomes
 // explicit buffer credits. The master holds `inbox_capacity` credits
@@ -23,514 +24,25 @@
 // frame with its what() text before exiting, so the master rethrows the
 // real root cause; a worker that dies without unwinding (SIGKILL) just
 // disappears and the master synthesizes the cause from waitpid status.
-#include <cerrno>
-#include <csignal>
-#include <cstring>
-#include <deque>
+// A clean stop is the master's kGoodbye before it half-closes; a bare
+// EOF means the master is gone, and the child exits.
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <variant>
-#include <vector>
-
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
 
 #include "matrix/kernel_dispatch.hpp"
-#include "matrix/tuning.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/serde.hpp"
-#include "runtime/socket_util.hpp"
-#include "runtime/transport.hpp"
-#include "runtime/worker_main.hpp"
-#include "util/check.hpp"
+#include "runtime/framed_endpoint.hpp"
 
 namespace hmxp::runtime {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-using serde::ByteBuffer;
-using serde::FrameType;
-
-double seconds_since(Clock::time_point begin) {
-  return std::chrono::duration<double>(Clock::now() - begin).count();
-}
-
-// Blocking fd helpers (read_exact / write_exact / read_frame) live in
-// runtime/socket_util.hpp, shared with the shm bootstrap channel and
-// both sides of the TCP transport.
-
-// ---- child side -------------------------------------------------------------
-
-/// The worker's face of the socket: frame intake with credit return,
-/// result frames out. Lives entirely in the child process.
-class SocketWorkerPort final : public WorkerPort {
- public:
-  SocketWorkerPort(int fd, BufferPool* pool, std::uint64_t max_frame_bytes)
-      : fd_(fd), pool_(pool), max_frame_bytes_(max_frame_bytes) {}
-
-  std::optional<WorkerMessage> receive() override {
-    if (!read_frame(fd_, body_, max_frame_bytes_))
-      return std::nullopt;  // master closed the data plane: done
-
-    // Return the inbox credit BEFORE computing: the slot is free the
-    // moment the message is dequeued, exactly like a channel pop.
-    tx_.clear();
-    serde::encode_control(FrameType::kCredit, tx_);
-    write_exact(fd_, tx_.data(), tx_.size());
-
-    switch (serde::frame_type(body_.data(), body_.size())) {
-      case FrameType::kChunk:
-        return WorkerMessage(
-            serde::decode_chunk(body_.data(), body_.size(), *pool_));
-      case FrameType::kOperand:
-        return WorkerMessage(
-            serde::decode_operand(body_.data(), body_.size(), *pool_));
-      case FrameType::kCancel:
-        return WorkerMessage(
-            serde::decode_cancel(body_.data(), body_.size()));
-      default:
-        throw std::runtime_error("unexpected inbound frame type");
-    }
-  }
-
-  std::optional<WorkerMessage> try_receive() override {
-    // Only commit to the blocking read when a frame has started to
-    // arrive; a partially written frame completes in microseconds (the
-    // master writes frames whole over a local socketpair). EOF read
-    // here returns nullopt like "nothing buffered" -- EOF is sticky,
-    // the follow-up blocking receive() re-observes it and exits.
-    struct pollfd probe;
-    probe.fd = fd_;
-    probe.events = POLLIN;
-    probe.revents = 0;
-    if (::poll(&probe, 1, 0) != 1 || (probe.revents & POLLIN) == 0)
-      return std::nullopt;
-    return receive();
-  }
-
-  void send(ResultMessage result) override {
-    tx_.clear();
-    serde::encode_result(result, tx_);
-    // Payload storage recycles in the worker's own pool.
-    result.c.release_to(*pool_);
-    write_exact(fd_, tx_.data(), tx_.size());
-  }
-
-  void send_hello(const serde::HelloFrame& hello) {
-    tx_.clear();
-    serde::encode_hello(hello, tx_);
-    write_exact(fd_, tx_.data(), tx_.size());
-  }
-
- private:
-  int fd_;
-  BufferPool* pool_;
-  std::uint64_t max_frame_bytes_;
-  ByteBuffer body_;
-  ByteBuffer tx_;
-};
-
-/// Child-process entry: re-assert the master's kernel pin, handshake,
-/// then run the shared worker loop. Exits, never returns: 0 on a clean
-/// close, 2 on a worker exception (the reason travels as a kError
-/// frame when the socket still works).
-///
-/// NOTE on fork without exec: the child deliberately inherits the
-/// master's address space (options, schedules, fault_hook closures and
-/// the kernel-dispatch statics all come along for free -- an exec'ing
-/// transport could ship none of them). POSIX only blesses
-/// async-signal-safe calls in the child of a multithreaded parent;
-/// glibc (every deployment target here) additionally makes malloc
-/// fork-safe via its internal atfork handlers, which this child relies
-/// on. The master bounds the bootstrap wait (wait_hello) so even a
-/// wedged child fails the run instead of hanging it.
-[[noreturn]] void run_child(int fd, const WorkerContext& context,
-                            const matrix::KernelConfig& config,
-                            std::uint64_t max_frame_bytes) {
-#if defined(__linux__)
-  // An orphaned worker must not outlive a crashed master.
-  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-  // fork() inherits the dispatch statics, but the master's full kernel
-  // configuration -- tier, micro-kernel variant AND the tuned blocking
-  // -- is re-asserted explicitly (and exported) so the guarantee holds
-  // for any transport that execs instead of forking, and for the
-  // worker's own children: the child can never re-resolve (or re-tune)
-  // differently from the master.
-  matrix::install_kernel_config(config);
-
-  BufferPool pool;
-  SocketWorkerPort port(fd, &pool, max_frame_bytes);
-  try {
-    // The hello answers with the configuration the child ACTUALLY runs
-    // (re-read, not echoed), so the master's verification is end-to-end.
-    port.send_hello(serde::local_hello(matrix::current_kernel_config()));
-    worker_main(context, port, pool);
-  } catch (const std::exception& error) {
-    try {
-      ByteBuffer notice;
-      serde::encode_error(error.what(), notice);
-      write_exact(fd, notice.data(), notice.size());
-    } catch (...) {
-      // The socket is gone too; the EOF alone carries the news.
-    }
-    ::close(fd);
-    ::_exit(2);
-  } catch (...) {
-    ::close(fd);
-    ::_exit(2);
-  }
-  ::close(fd);
-  ::_exit(0);
-}
-
-// ---- master side ------------------------------------------------------------
-
-class ProcessEndpoint final : public Endpoint {
- public:
-  ProcessEndpoint(int index, int fd, pid_t pid, std::size_t credits,
-                  const serde::HelloFrame& expected_hello, BufferPool* pool,
-                  TransportStats* stats, std::uint64_t max_frame_bytes)
-      : index_(index),
-        fd_(fd),
-        pid_(pid),
-        credits_(credits),
-        expected_hello_(expected_hello),
-        pool_(pool),
-        stats_(stats),
-        max_frame_bytes_(max_frame_bytes) {}
-
-  ~ProcessEndpoint() override { teardown(); }
-
-  // ----- Endpoint -----
-  void send(WorkerMessage message) override {
-    throw_if_dead();
-    const auto serde_begin = Clock::now();
-    tx_.clear();
-    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
-      serde::encode_chunk(*chunk, tx_);
-      chunk->c.release_to(*pool_);
-    } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
-      serde::encode_operand(*operands, tx_);
-      operands->a.release_to(*pool_);
-      operands->b.release_to(*pool_);
-    } else {
-      serde::encode_cancel(std::get<CancelMessage>(message), tx_);
-    }
-    stats_->serde_seconds += seconds_since(serde_begin);
-
-    // The bounded-inbox rule: no credit, no send. Pump while waiting so
-    // results and credits keep flowing (and death is noticed).
-    while (credits_ == 0 && !failed_) wait_io();
-    throw_if_dead();
-    --credits_;
-    write_frame();
-    ++stats_->messages_sent;
-    stats_->bytes_sent += tx_.size();
-  }
-
-  std::optional<ResultMessage> try_recv() override {
-    if (results_.empty() && !failed_) pump();
-    return pop_result();
-  }
-
-  std::optional<ResultMessage> recv() override {
-    pump();
-    while (results_.empty() && !failed_) wait_io();
-    return pop_result();
-  }
-
-  bool failed() const override { return failed_; }
-  std::exception_ptr error() const override { return error_; }
-  bool killed() const override { return killed_; }
-
-  void kill() override {
-    if (killed_) return;
-    killed_ = true;
-    if (pid_ > 0 && !reaped_) ::kill(pid_, SIGKILL);
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  }
-
-  void drain(BufferPool& pool) override {
-    while (!results_.empty()) {
-      results_.front().c.release_to(pool);
-      results_.pop_front();
-    }
-    rx_.clear();
-  }
-
-  // ----- transport-internal -----
-  /// Blocks until the child's bootstrap hello arrived (validating its
-  /// kernel tier) or the child died on the launch pad. Bounded: a child
-  /// wedged before its first frame (the fork-from-multithreaded-parent
-  /// hazard, however unlikely under glibc) must fail the run loudly,
-  /// never hang the master in an untimed poll.
-  void wait_hello() {
-    pump();
-    const auto deadline = Clock::now() + std::chrono::seconds(30);
-    while (!hello_seen_ && !failed_) {
-      if (Clock::now() >= deadline) {
-        mark_failed("no bootstrap hello within 30s");
-        break;
-      }
-      wait_io(/*want_write=*/false, /*timeout_ms=*/1000);
-    }
-  }
-
-  /// Graceful stop: half-close so the child sees EOF once it drains.
-  void begin_shutdown() noexcept {
-    discarding_ = true;
-    if (fd_ >= 0 && !killed_) ::shutdown(fd_, SHUT_WR);
-  }
-
-  /// Drains the socket to EOF (unblocking a child mid-result), reaps
-  /// the child and closes the fd. Idempotent.
-  void finish_shutdown() noexcept {
-    discarding_ = true;
-    if (fd_ >= 0) {
-      try {
-        while (!eof_ && !failed_) wait_io();
-      } catch (...) {
-        // Corrupt trailing frames on a teardown path are ignorable.
-      }
-    }
-    teardown();
-  }
-
- private:
-  void teardown() noexcept {
-    // Close first: the EOF is what makes a still-draining child exit,
-    // so the blocking reap below cannot hang on a healthy worker.
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    if (pid_ > 0 && !reaped_) {
-      // A FAILED child may still be alive (wedged before its hello, or
-      // spewing corrupt frames): nothing upstream is obliged to have
-      // killed it, and waitpid must never block on a process that will
-      // not exit. Killing an exited-but-unreaped child is a no-op (the
-      // zombie pins the pid, so this cannot hit a recycled process).
-      if (failed_) ::kill(pid_, SIGKILL);
-      int status = 0;
-      while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-      }
-      reaped_ = true;
-    }
-  }
-
-  [[noreturn]] void throw_dead() {
-    std::rethrow_exception(error_);
-  }
-  void throw_if_dead() {
-    if (failed_) throw_dead();
-  }
-
-  std::optional<ResultMessage> pop_result() {
-    if (results_.empty()) return std::nullopt;
-    ResultMessage result = std::move(results_.front());
-    results_.pop_front();
-    ++stats_->messages_received;
-    return result;
-  }
-
-  /// Marks the endpoint dead, synthesizing the cause: a kError text if
-  /// the child managed to ship one, the waitpid status otherwise.
-  void mark_failed(const std::string& reason) {
-    if (failed_) return;
-    std::string what = "worker process " + std::to_string(index_) + ": " +
-                       reason;
-    if (pid_ > 0 && !reaped_) {
-      int status = 0;
-      const pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
-      if (reaped == pid_) {
-        reaped_ = true;
-        if (WIFSIGNALED(status)) {
-          what += " (killed by signal " + std::to_string(WTERMSIG(status)) +
-                  ")";
-        } else if (WIFEXITED(status)) {
-          what += " (exit status " + std::to_string(WEXITSTATUS(status)) +
-                  ")";
-        }
-      }
-    }
-    error_ = std::make_exception_ptr(std::runtime_error(what));
-    failed_ = true;
-  }
-
-  /// Ships the prepared frame, pumping inbound traffic whenever the
-  /// socket back-pressures (the child must be able to hand a result
-  /// back while the master is mid-send, or both would block forever).
-  void write_frame() {
-    std::size_t done = 0;
-    while (done < tx_.size()) {
-      const ssize_t n = ::send(fd_, tx_.data() + done, tx_.size() - done,
-                               MSG_NOSIGNAL);
-      if (n > 0) {
-        done += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        wait_io(/*want_write=*/true);
-        if (failed_) throw_dead();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      mark_failed(std::string("send failed: ") + std::strerror(errno));
-      throw_dead();
-    }
-  }
-
-  /// Poll until the socket is readable (or writable, when asked), then
-  /// absorb whatever arrived.
-  void wait_io(bool want_write = false, int timeout_ms = -1) {
-    if (eof_ || fd_ < 0) {
-      if (!failed_) mark_failed("connection closed");
-      return;
-    }
-    struct pollfd entry;
-    entry.fd = fd_;
-    entry.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-    entry.revents = 0;
-    const int ready = ::poll(&entry, 1, timeout_ms);
-    if (ready < 0 && errno != EINTR) {
-      mark_failed(std::string("poll failed: ") + std::strerror(errno));
-      return;
-    }
-    pump();
-  }
-
-  /// Non-blocking absorb: reads everything available, parses complete
-  /// frames, dispatches credits/results/hello/error, detects EOF.
-  void pump() {
-    if (eof_ || fd_ < 0) return;
-    std::uint8_t buffer[1 << 16];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        rx_.insert(rx_.end(), buffer, buffer + n);
-        if (static_cast<std::size_t>(n) < sizeof buffer) break;
-        continue;
-      }
-      if (n == 0) {
-        eof_ = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        eof_ = true;
-        break;
-      }
-      mark_failed(std::string("recv failed: ") + std::strerror(errno));
-      return;
-    }
-    parse_frames();
-    if (eof_ && !failed_ && !discarding_)
-      mark_failed("exited unexpectedly (connection closed)");
-  }
-
-  void parse_frames() {
-    std::size_t cursor = 0;
-    while (rx_.size() - cursor >= serde::kLengthBytes) {
-      std::uint64_t length = 0;
-      try {
-        // Geometry-derived bound: a corrupt prefix fails the endpoint
-        // cleanly, it never sizes an allocation.
-        length = serde::checked_frame_length(rx_.data() + cursor,
-                                             max_frame_bytes_);
-      } catch (const std::exception& error) {
-        mark_failed(error.what());
-        break;
-      }
-      if (rx_.size() - cursor - serde::kLengthBytes < length) break;
-      try {
-        dispatch(rx_.data() + cursor + serde::kLengthBytes,
-                 static_cast<std::size_t>(length));
-      } catch (const std::exception& error) {
-        // Corrupt frame CONTENT is the same protocol death as a corrupt
-        // length: the worker failed, the run recovers under
-        // tolerate_faults -- it must never abort a tolerant run.
-        mark_failed(std::string("protocol corruption: ") + error.what());
-        break;
-      }
-      cursor += serde::kLengthBytes + static_cast<std::size_t>(length);
-      stats_->bytes_received += serde::kLengthBytes +
-                                static_cast<std::size_t>(length);
-    }
-    if (cursor > 0)
-      rx_.erase(rx_.begin(),
-                rx_.begin() + static_cast<std::ptrdiff_t>(cursor));
-  }
-
-  void dispatch(const std::uint8_t* body, std::size_t size) {
-    switch (serde::frame_type(body, size)) {
-      case FrameType::kCredit:
-        ++credits_;
-        break;
-      case FrameType::kResult: {
-        if (discarding_) break;
-        const auto serde_begin = Clock::now();
-        results_.push_back(serde::decode_result(body, size, *pool_));
-        stats_->serde_seconds += seconds_since(serde_begin);
-        break;
-      }
-      case FrameType::kHello: {
-        // decode_hello validates magic and protocol version (throwing
-        // with both versions named); the kernel fields are checked
-        // here, identity/resource fields legitimately differ.
-        const serde::HelloFrame hello = serde::decode_hello(body, size);
-        HMXP_CHECK(hello.same_kernel_config(expected_hello_),
-                   "worker process booted with a divergent kernel "
-                   "configuration (tier/micro-kernel/tuned blocking)");
-        hello_seen_ = true;
-        break;
-      }
-      case FrameType::kError:
-        mark_failed(serde::decode_error(body, size));
-        break;
-      default:
-        mark_failed("unexpected frame from worker");
-        break;
-    }
-  }
-
-  int index_;
-  int fd_;
-  pid_t pid_;
-  std::size_t credits_;
-  serde::HelloFrame expected_hello_;
-  BufferPool* pool_;
-  TransportStats* stats_;
-  ByteBuffer rx_;
-  ByteBuffer tx_;
-  std::deque<ResultMessage> results_;
-  std::exception_ptr error_;
-  bool failed_ = false;
-  bool killed_ = false;
-  bool eof_ = false;
-  bool hello_seen_ = false;
-  bool discarding_ = false;
-  bool reaped_ = false;
-  std::uint64_t max_frame_bytes_;
-};
-
-class ProcessTransport final : public Transport {
+class ProcessTransport final : public FramedTransport<FramedEndpoint> {
  public:
   ProcessTransport(int workers, std::size_t inbox_capacity,
                    const ExecutorOptions& options,
-                   Clock::time_point run_begin, BufferPool* pool,
-                   std::size_t max_payload_doubles)
-      : endpoint_stats_(static_cast<std::size_t>(workers)) {
+                   std::chrono::steady_clock::time_point run_begin,
+                   BufferPool* pool, std::size_t max_payload_doubles)
+      : FramedTransport(workers) {
     // Capture the kernel configuration ONCE, in the master, before any
     // fork: the explicit pins (force_kernel_tier / --kernel,
     // force_micro_kernel_variant), the tier/variant the dispatch
@@ -541,59 +53,26 @@ class ProcessTransport final : public Transport {
     const matrix::KernelConfig config = matrix::current_kernel_config();
     const serde::HelloFrame expected_hello = serde::local_hello(config);
     const std::uint64_t max_frame_bytes =
-        options.max_frame_bytes != 0
-            ? static_cast<std::uint64_t>(options.max_frame_bytes)
-            : serde::max_frame_bytes_for(max_payload_doubles);
-
-    const auto count = static_cast<std::size_t>(workers);
-    // master_fds keeps every master-end NUMBER for the whole spawn loop
-    // (even once an endpoint owns the fd): each child must close every
-    // master end it inherited, or a dead child's socket would never
-    // read as EOF and stray fds would pin dead sockets open.
-    std::vector<int> master_fds(count, -1);
-    std::vector<int> child_fds(count, -1);
+        serde::max_frame_bytes_for(max_payload_doubles);
     try {
-      for (std::size_t i = 0; i < count; ++i) {
-        int fds[2];
-        HMXP_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
-                   "socketpair failed");
-        master_fds[i] = fds[0];
-        child_fds[i] = fds[1];
-      }
-      endpoints_.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const WorkerContext context =
-            make_worker_context(options, static_cast<int>(i), run_begin);
-
-        const pid_t pid = ::fork();
-        HMXP_CHECK(pid >= 0, "fork failed");
-        if (pid == 0) {
-          // Child: keep only this worker's own end.
-          for (std::size_t j = 0; j < count; ++j) {
-            if (master_fds[j] >= 0) ::close(master_fds[j]);
-            if (j != i && child_fds[j] >= 0) ::close(child_fds[j]);
-          }
-          run_child(child_fds[i], context, config,
-                    max_frame_bytes);  // never returns
-        }
-        // Master: the child end belongs to the child now.
-        ::close(child_fds[i]);
-        child_fds[i] = -1;
-        const int fd = master_fds[i];
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        HMXP_CHECK(flags >= 0 &&
-                       ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                   "fcntl O_NONBLOCK failed");
-        endpoints_.push_back(std::make_unique<ProcessEndpoint>(
-            static_cast<int>(i), fd, pid, inbox_capacity, expected_hello,
-            pool, &endpoint_stats_[i], max_frame_bytes));
-      }
+      spawn_socketpair_workers(
+          static_cast<std::size_t>(workers),
+          [&](std::size_t i, int fd) {
+            const WorkerContext context =
+                make_worker_context(options, static_cast<int>(i), run_begin);
+            run_worker_child(config, &fd, [&](BufferPool& child_pool) {
+              send_local_hello(fd);
+              FramedWorkerPort port(fd, &child_pool, max_frame_bytes);
+              worker_main(context, port, child_pool);
+            });
+          },
+          [&](std::size_t i, int fd, pid_t pid) {
+            endpoints_.push_back(std::make_unique<FramedEndpoint>(
+                "worker process " + std::to_string(i), fd, pid,
+                inbox_capacity, max_frame_bytes, expected_hello, pool,
+                &endpoint_stats_[i]));
+          });
     } catch (...) {
-      // Endpoints own master_fds[0 .. endpoints_.size()); close the rest.
-      for (std::size_t j = endpoints_.size(); j < count; ++j)
-        if (master_fds[j] >= 0) ::close(master_fds[j]);
-      for (const int fd : child_fds)
-        if (fd >= 0) ::close(fd);
       shutdown();
       throw;
     }
@@ -605,32 +84,6 @@ class ProcessTransport final : public Transport {
   ~ProcessTransport() override { shutdown(); }
 
   TransportKind kind() const override { return TransportKind::kProcess; }
-  int worker_count() const override {
-    return static_cast<int>(endpoints_.size());
-  }
-  Endpoint& endpoint(int worker) override {
-    HMXP_REQUIRE(worker >= 0 &&
-                     static_cast<std::size_t>(worker) < endpoints_.size(),
-                 "worker index out of range");
-    return *endpoints_[static_cast<std::size_t>(worker)];
-  }
-
-  void shutdown() noexcept override {
-    for (auto& endpoint : endpoints_) endpoint->begin_shutdown();
-    for (auto& endpoint : endpoints_) endpoint->finish_shutdown();
-  }
-
-  TransportStats stats() const override {
-    TransportStats total;
-    for (const TransportStats& slot : endpoint_stats_) total += slot;
-    return total;
-  }
-
- private:
-  // One slot per endpoint (each writes only its own; stable addresses,
-  // never resized) so concurrent fleet jobs never race on a counter.
-  std::vector<TransportStats> endpoint_stats_;
-  std::vector<std::unique_ptr<ProcessEndpoint>> endpoints_;
 };
 
 }  // namespace

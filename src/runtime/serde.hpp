@@ -41,10 +41,8 @@ enum class FrameType : std::uint8_t {
   kOperandRef = 8,  // master -> worker: OperandMessage, A/B in arena slots
   kResultRef = 9,   // worker -> master: ResultMessage, C in an arena slot
   kCancel = 10,     // master -> worker: CancelMessage (seq only, no payload)
-  kGoodbye = 11,    // master -> worker: clean shutdown (TCP: EOF without a
-                    // goodbye means the CONNECTION died -- reconnect)
-  kCompressed = 12,  // either direction: a whole frame body, zero-RLE
-                     // compressed ([u64 raw size][stream]); never nested
+  kGoodbye = 11,    // master -> worker: clean shutdown (EOF without a
+                    // goodbye means the CONNECTION died)
 };
 
 using ByteBuffer = std::vector<std::uint8_t>;
@@ -79,7 +77,7 @@ void encode_chunk(const ChunkMessage& message, ByteBuffer& out);
 void encode_operand(const OperandMessage& message, ByteBuffer& out);
 void encode_result(const ResultMessage& message, ByteBuffer& out);
 void encode_cancel(const CancelMessage& message, ByteBuffer& out);
-/// Payload-free control frame (kCredit).
+/// Payload-free control frame (kCredit, kGoodbye).
 void encode_control(FrameType type, ByteBuffer& out);
 
 /// Handshake identity: the magic marks a peer as an hmxp worker at all,
@@ -87,7 +85,7 @@ void encode_control(FrameType type, ByteBuffer& out);
 /// wire-visible change; a mismatched peer then gets one clean error
 /// naming both versions instead of silently misparsing the next frame.
 inline constexpr std::uint32_t kProtocolMagic = 0x50584d48;  // "HMXP"
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Bootstrap handshake payload: protocol identity (magic + version),
 /// the worker's identity token and advertised host resources (TCP), and
@@ -141,18 +139,6 @@ void encode_error(const std::string& what, ByteBuffer& out);
 /// hold at least kLengthBytes). RAW: trusts the wire bytes -- use
 /// checked_frame_length anywhere the value sizes an allocation.
 std::uint64_t decode_length(const std::uint8_t* data);
-
-/// Wraps one already-encoded frame BODY (type byte + payload, `size`
-/// bytes) as a complete kCompressed frame appended to `out`:
-/// [u64 length][kCompressed][u64 raw size][zero-RLE stream].
-void encode_compressed(const std::uint8_t* body, std::size_t size,
-                       ByteBuffer& out);
-/// Unwraps a kCompressed body into the original frame body. The
-/// declared raw size is validated against `max_raw` BEFORE allocating,
-/// and a nested kCompressed payload is rejected (a decompression bomb
-/// must not recurse).
-void decode_compressed(const std::uint8_t* body, std::size_t size,
-                       std::uint64_t max_raw, ByteBuffer& raw);
 
 /// Decoders for one frame BODY (type byte + payload, i.e. `length`
 /// bytes starting after the prefix). They validate the type byte and

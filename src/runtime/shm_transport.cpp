@@ -32,11 +32,8 @@
 // race against that reclamation from either side of a SIGKILL.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <climits>
-#include <csignal>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -44,29 +41,19 @@
 #include <variant>
 #include <vector>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/mman.h>
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 #if defined(__linux__)
 #include <linux/futex.h>
-#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <ctime>
 #endif
 
 #include "matrix/kernel_dispatch.hpp"
-#include "matrix/tuning.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/serde.hpp"
+#include "runtime/framed_endpoint.hpp"
 #include "runtime/shared_arena.hpp"
 #include "runtime/socket_util.hpp"
-#include "runtime/transport.hpp"
-#include "runtime/worker_main.hpp"
-#include "util/check.hpp"
 
 namespace hmxp::runtime {
 
@@ -115,8 +102,18 @@ void futex_wait_u32(std::atomic<std::uint32_t>* word, std::uint32_t seen,
 void futex_wake_u32(std::atomic<std::uint32_t>*) {}
 #endif
 
-double seconds_since(Clock::time_point begin) {
-  return std::chrono::duration<double>(Clock::now() - begin).count();
+/// Sleeps on `word` while it still reads `seen` (or until the timeout),
+/// advertising the park in `waiting` first. Re-checking AFTER the
+/// advertisement -- a seq_cst pair with the waker's update-then-check
+/// -- makes the park lose-free, and the kernel rechecks word == seen
+/// under the futex lock for the remaining window.
+void park_on(std::atomic<std::uint32_t>& word,
+             std::atomic<std::uint32_t>& waiting, std::uint32_t seen,
+             int timeout_ms) {
+  waiting.store(1, std::memory_order_seq_cst);
+  if (word.load(std::memory_order_seq_cst) == seen)
+    futex_wait_u32(&word, seen, timeout_ms);
+  waiting.store(0, std::memory_order_relaxed);
 }
 
 // ---- shared-memory credit board ---------------------------------------------
@@ -135,12 +132,12 @@ double seconds_since(Clock::time_point begin) {
 /// messages. Must be created BEFORE the first fork, like the arena.
 class SharedAckBoard {
  public:
-  explicit SharedAckBoard(std::size_t lanes) : lanes_(lanes) {
+  explicit SharedAckBoard(std::size_t lanes) {
     bytes_ = std::max<std::size_t>(lanes, 1) * kLaneStride;
     map_ = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
     HMXP_CHECK(map_ != MAP_FAILED, "ack board mmap failed");
-    for (std::size_t i = 0; i < lanes_; ++i) new (lane(i)) Lane{};
+    for (std::size_t i = 0; i < lanes; ++i) new (lane(i)) Lane{};
   }
   ~SharedAckBoard() {
     if (map_ != nullptr && map_ != MAP_FAILED) ::munmap(map_, bytes_);
@@ -172,19 +169,6 @@ class SharedAckBoard {
     return lane(i)->seq.load(std::memory_order_acquire);
   }
 
-  /// Worker side: "I just wrote a frame to my socket." The master's
-  /// try_recv polls this word -- one shared-memory load -- instead of
-  /// issuing a recv(2) per sweep that almost always returns EAGAIN.
-  void raise_rx_hint(std::size_t i) {
-    lane(i)->rx_hint.store(1, std::memory_order_release);
-  }
-  /// Master side: consumes the hint. Cleared BEFORE the socket is
-  /// drained, so a frame that lands mid-drain re-raises it and costs
-  /// at worst one extra (empty) pump on the next sweep.
-  bool take_rx_hint(std::size_t i) {
-    return lane(i)->rx_hint.exchange(0, std::memory_order_acquire) != 0;
-  }
-
   /// Master side: sleeps until the lane's sequence reaches `target`
   /// (the hysteresis threshold -- the worker skips wakes below it) or
   /// `timeout_ms` elapses (the bound keeps worker death, which never
@@ -194,13 +178,7 @@ class SharedAckBoard {
             int timeout_ms) {
     Lane* entry = lane(i);
     entry->wake_at.store(target, std::memory_order_relaxed);
-    entry->waiting.store(1, std::memory_order_seq_cst);
-    // Re-check AFTER advertising the park (the seq_cst pair with add()
-    // makes this lose-free), and let the kernel recheck seq == seen
-    // under the futex lock for the remaining window.
-    if (entry->seq.load(std::memory_order_seq_cst) == seen)
-      futex_wait_u32(&entry->seq, seen, timeout_ms);
-    entry->waiting.store(0, std::memory_order_relaxed);
+    park_on(entry->seq, entry->waiting, seen, timeout_ms);  // pairs with add()
   }
 
  private:
@@ -208,7 +186,6 @@ class SharedAckBoard {
     std::atomic<std::uint32_t> seq{0};
     std::atomic<std::uint32_t> waiting{0};
     std::atomic<std::uint32_t> wake_at{0};
-    std::atomic<std::uint32_t> rx_hint{0};
   };
   static_assert(sizeof(std::atomic<std::uint32_t>) == 4,
                 "futex needs a plain 32-bit word");
@@ -221,7 +198,6 @@ class SharedAckBoard {
 
   void* map_ = nullptr;
   std::size_t bytes_ = 0;
-  std::size_t lanes_ = 0;
 };
 
 // ---- shared-memory SPSC frame rings -----------------------------------------
@@ -294,21 +270,16 @@ struct SharedRing {
     return true;
   }
 
-  /// Parks the consumer until `head` moves past `seen` (or timeout; the
-  /// seq_cst store/load pairing with try_push's commit makes the park
-  /// lose-free, exactly like SharedAckBoard::park).
-  void park_consumer(std::uint32_t seen, int timeout_ms) {
-    cons_waiting.store(1, std::memory_order_seq_cst);
-    if (head.load(std::memory_order_seq_cst) == seen)
-      futex_wait_u32(&head, seen, timeout_ms);
-    cons_waiting.store(0, std::memory_order_relaxed);
+  /// Parks the consumer until `head` moves (or timeout); try_push's
+  /// seq_cst commit is the waker's half of park_on's pairing.
+  void park_consumer(int timeout_ms) {
+    park_on(head, cons_waiting, head.load(std::memory_order_acquire),
+            timeout_ms);
   }
-  /// Parks the producer until `tail` moves past `seen` (or timeout).
-  void park_producer(std::uint32_t seen, int timeout_ms) {
-    prod_waiting.store(1, std::memory_order_seq_cst);
-    if (tail.load(std::memory_order_seq_cst) == seen)
-      futex_wait_u32(&tail, seen, timeout_ms);
-    prod_waiting.store(0, std::memory_order_relaxed);
+  /// Parks the producer until `tail` moves (or timeout).
+  void park_producer(int timeout_ms) {
+    park_on(tail, prod_waiting, tail.load(std::memory_order_acquire),
+            timeout_ms);
   }
 
  private:
@@ -341,8 +312,8 @@ struct RingChannel {
 /// and children address the same pages.
 class SharedRingBlock {
  public:
-  explicit SharedRingBlock(std::size_t workers) : count_(workers) {
-    bytes_ = std::max<std::size_t>(count_, 1) * sizeof(RingChannel);
+  explicit SharedRingBlock(std::size_t workers) {
+    bytes_ = std::max<std::size_t>(workers, 1) * sizeof(RingChannel);
     int flags = MAP_SHARED | MAP_ANONYMOUS;
 #if defined(MAP_POPULATE)
     // Prefault the whole block in one syscall: cheaper than trapping
@@ -355,7 +326,7 @@ class SharedRingBlock {
     // run, while the data arrays stay untouched -- anonymous pages are
     // already zero, and zeroing kRingBytes per ring here would fault
     // and dirty every page twice.
-    for (std::size_t i = 0; i < count_; ++i) new (channel(i)) RingChannel;
+    for (std::size_t i = 0; i < workers; ++i) new (channel(i)) RingChannel;
   }
   ~SharedRingBlock() {
     if (map_ != nullptr && map_ != MAP_FAILED) ::munmap(map_, bytes_);
@@ -371,7 +342,6 @@ class SharedRingBlock {
  private:
   void* map_ = nullptr;
   std::size_t bytes_ = 0;
-  std::size_t count_ = 0;
 };
 
 // ---- child side -------------------------------------------------------------
@@ -384,9 +354,9 @@ class SharedRingBlock {
 /// mapped pages, not the heap).
 class ShmWorkerPort final : public WorkerPort {
  public:
-  ShmWorkerPort(int fd, RingChannel* rings, SharedArena* arena,
-                SharedAckBoard* acks, std::size_t index)
-      : fd_(fd), rings_(rings), arena_(arena), acks_(acks), index_(index) {}
+  ShmWorkerPort(RingChannel* rings, SharedArena* arena, SharedAckBoard* acks,
+                std::size_t index)
+      : rings_(rings), arena_(arena), acks_(acks), index_(index) {}
 
   std::optional<WorkerMessage> receive() override {
     if (done_) return std::nullopt;
@@ -395,8 +365,7 @@ class ShmWorkerPort final : public WorkerPort {
       // Empty inbox: park on the head cursor. The bound is only a
       // belt -- PDEATHSIG reaps an orphan whose master crashed -- and
       // a spurious lap costs two shared-memory loads.
-      inbox.park_consumer(inbox.head.load(std::memory_order_acquire),
-                          /*timeout_ms=*/100);
+      inbox.park_consumer(/*timeout_ms=*/100);
     }
     return decode_inbound();
   }
@@ -415,20 +384,12 @@ class ShmWorkerPort final : public WorkerPort {
     serde::encode_result_ref(result, tx_);
     SharedRing& outbox = rings_->outbox;
     while (!outbox.try_push(tx_.data(), tx_.size())) {
-      outbox.park_producer(outbox.tail.load(std::memory_order_acquire),
-                           /*timeout_ms=*/100);
+      outbox.park_producer(/*timeout_ms=*/100);
     }
     // The frame is committed: the C slot belongs to the master now.
     // Detach AFTER the push so an unwind mid-send still releases the
     // slot (the master's crash reclamation tolerates the benign race).
     result.c.detach();
-  }
-
-  void send_hello(const serde::HelloFrame& hello) {
-    tx_.clear();
-    serde::encode_hello(hello, tx_);
-    write_exact(fd_, tx_.data(), tx_.size());
-    acks_->raise_rx_hint(index_);
   }
 
  private:
@@ -456,7 +417,6 @@ class ShmWorkerPort final : public WorkerPort {
     }
   }
 
-  int fd_;
   RingChannel* rings_;
   SharedArena* arena_;
   SharedAckBoard* acks_;
@@ -466,69 +426,25 @@ class ShmWorkerPort final : public WorkerPort {
   bool done_ = false;
 };
 
-/// Child-process entry, the shm twin of the process transport's
-/// run_child (see the fork-without-exec notes there). The arena object
-/// itself arrives via the inherited heap; its PAGES are MAP_SHARED, so
-/// the child's slot releases are the master's slot releases.
-[[noreturn]] void run_child(int fd, const WorkerContext& context,
-                            RingChannel* rings, SharedArena* arena,
-                            SharedAckBoard* acks, std::size_t index,
-                            const matrix::KernelConfig& config) {
-#if defined(__linux__)
-  // An orphaned worker must not outlive a crashed master.
-  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-  // Re-assert the master's tier, micro-kernel variant and tuned
-  // blocking: the child can never re-resolve (or re-tune) differently.
-  matrix::install_kernel_config(config);
-
-  // The child's private pool only ever serves scratch buffers (the
-  // slowdown emulation): every protocol payload lives in the arena.
-  BufferPool pool;
-  ShmWorkerPort port(fd, rings, arena, acks, index);
-  try {
-    // Answer with the configuration the child ACTUALLY runs (re-read,
-    // not echoed), so the master's verification is end-to-end.
-    port.send_hello(serde::local_hello(matrix::current_kernel_config()));
-    worker_main(context, port, pool);
-  } catch (const std::exception& error) {
-    try {
-      ByteBuffer notice;
-      serde::encode_error(error.what(), notice);
-      write_exact(fd, notice.data(), notice.size());
-      acks->raise_rx_hint(index);
-    } catch (...) {
-      // The socket is gone too; the EOF alone carries the news.
-    }
-    ::close(fd);
-    ::_exit(2);
-  } catch (...) {
-    ::close(fd);
-    ::_exit(2);
-  }
-  ::close(fd);
-  ::_exit(0);
-}
-
 // ---- master side ------------------------------------------------------------
 
-class ShmEndpoint final : public Endpoint {
+/// The framed core keeps the bootstrap and death socket (hello, kError
+/// notices, the EOF of a SIGKILL'd child, failure and reaping); the
+/// data plane -- descriptor frames through the rings, credits through
+/// the ack board, payloads in arena slots -- is this class's own.
+class ShmEndpoint final : public FramedEndpoint {
  public:
   ShmEndpoint(int index, int fd, pid_t pid, std::size_t capacity,
               const serde::HelloFrame& expected_hello, RingChannel* rings,
-              SharedArena* arena, SharedAckBoard* acks,
+              SharedArena* arena, SharedAckBoard* acks, BufferPool* pool,
               TransportStats* stats)
-      : index_(index),
-        fd_(fd),
-        pid_(pid),
-        capacity_(capacity),
-        expected_hello_(expected_hello),
+      : FramedEndpoint("worker process " + std::to_string(index), fd, pid,
+                       capacity, kBootstrapFrameBytes, expected_hello, pool,
+                       stats),
+        index_(index),
         rings_(rings),
         arena_(arena),
-        acks_(acks),
-        stats_(stats) {}
-
-  ~ShmEndpoint() override { teardown(); }
+        acks_(acks) {}
 
   // ----- Endpoint -----
   /// Checks out an arena slot tagged with this worker instead of a pool
@@ -582,33 +498,29 @@ class ShmEndpoint final : public Endpoint {
       throw_if_dead();
     }
 
+    // Payloads detach once encoded, BEFORE the commit: once the cursor
+    // bump lands the worker may decode, use and release the slots at any
+    // moment, so the master must have relinquished them already. If the
+    // worker dies with the frame unread, drain()'s owner-tag sweep
+    // reclaims them.
     const auto serde_begin = Clock::now();
     tx_.clear();
     std::size_t payload_bytes = 0;
     if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
       serde::encode_chunk_ref(*chunk, tx_);
       payload_bytes = chunk->c.size() * sizeof(double);
+      chunk->c.detach();
     } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
       serde::encode_operand_ref(*operands, tx_);
       payload_bytes =
           (operands->a.size() + operands->b.size()) * sizeof(double);
+      operands->a.detach();
+      operands->b.detach();
     } else {
       // CancelMessage: an inline descriptor frame, no arena slot.
       serde::encode_cancel(std::get<CancelMessage>(message), tx_);
     }
     stats_->serde_seconds += seconds_since(serde_begin);
-
-    // Detach BEFORE the commit: once the cursor bump lands the worker
-    // may decode, use and release the slots at any moment, so the
-    // master must have relinquished them already. If the worker dies
-    // with the frame unread, drain()'s owner-tag sweep reclaims them.
-    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
-      chunk->c.detach();
-    } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
-      operands->a.detach();
-      operands->b.detach();
-    }
-    // CancelMessage holds no slots: nothing to detach.
     push_inbox();
     ++sent_;
     ++stats_->messages_sent;
@@ -622,7 +534,7 @@ class ShmEndpoint final : public Endpoint {
       // Results arrive through the ring (drained above with zero
       // syscalls); the socket carries only the bootstrap hello, error
       // notices and the EOF that announces death, so it is pumped at
-      // most once per millisecond (or on the worker's rx hint).
+      // most once per millisecond.
       gated_pump();
     }
     return pop_result();
@@ -636,23 +548,11 @@ class ShmEndpoint final : public Endpoint {
       // The bound exists because a SIGKILL'd child never pushes -- its
       // EOF, found by the gated pump below, is what breaks the wait.
       SharedRing& outbox = rings_->outbox;
-      outbox.park_consumer(outbox.head.load(std::memory_order_acquire),
-                           /*timeout_ms=*/10);
+      outbox.park_consumer(/*timeout_ms=*/10);
       pump_rings();
       gated_pump();
     }
     return pop_result();
-  }
-
-  bool failed() const override { return failed_; }
-  std::exception_ptr error() const override { return error_; }
-  bool killed() const override { return killed_; }
-
-  void kill() override {
-    if (killed_) return;
-    killed_ = true;
-    if (pid_ > 0 && !reaped_) ::kill(pid_, SIGKILL);
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
 
   /// Reclaims everything a decommissioned worker still held: queued
@@ -664,11 +564,7 @@ class ShmEndpoint final : public Endpoint {
   /// from this endpoint, so the sweep cannot double-free a live slot.
   void drain(BufferPool& pool) override {
     drained_ = true;
-    while (!results_.empty()) {
-      results_.front().c.release_to(pool);
-      results_.pop_front();
-    }
-    rx_.clear();
+    FramedEndpoint::drain(pool);
     // The rings are left untouched: frames still sitting in them
     // reference slots tagged with this worker, so the sweep below
     // reclaims those too, and a decommissioned endpoint never pops its
@@ -676,107 +572,26 @@ class ShmEndpoint final : public Endpoint {
     arena_->release_all_owned_by(static_cast<std::uint32_t>(index_));
   }
 
-  // ----- transport-internal -----
-  void wait_hello() {
-    pump();
-    const auto deadline = Clock::now() + std::chrono::seconds(30);
-    while (!hello_seen_ && !failed_) {
-      if (Clock::now() >= deadline) {
-        mark_failed("no bootstrap hello within 30s");
-        break;
-      }
-      wait_io(/*want_write=*/false, /*timeout_ms=*/1000);
+ protected:
+  /// The zero-length sentinel is the ring world's goodbye: the worker
+  /// pops it and exits. Bounded retries -- a worker that died with a
+  /// full inbox will never make room; its EOF ends the wait in
+  /// finish_shutdown instead.
+  void send_goodbye() override {
+    if (drained_) return;
+    const std::uint8_t sentinel[serde::kLengthBytes] = {};
+    SharedRing& inbox = rings_->inbox;
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+      if (inbox.try_push(sentinel, sizeof sentinel)) break;
+      if (failed_ || eof_) break;
+      pump_rings();
+      inbox.park_producer(/*timeout_ms=*/1);
     }
   }
 
-  void begin_shutdown() noexcept {
-    discarding_ = true;
-    if (fd_ >= 0 && !killed_ && !failed_ && !drained_) {
-      // The zero-length sentinel is the ring world's half-close: the
-      // worker pops it and exits. Bounded retries -- a worker that
-      // died with a full inbox will never make room; its EOF ends the
-      // wait in finish_shutdown instead.
-      const std::uint8_t sentinel[serde::kLengthBytes] = {};
-      SharedRing& inbox = rings_->inbox;
-      for (int attempt = 0; attempt < 1000; ++attempt) {
-        if (inbox.try_push(sentinel, sizeof sentinel)) break;
-        if (failed_ || eof_) break;
-        pump_rings();
-        inbox.park_producer(inbox.tail.load(std::memory_order_acquire),
-                            /*timeout_ms=*/1);
-      }
-    }
-    if (fd_ >= 0 && !killed_) ::shutdown(fd_, SHUT_WR);
-  }
-
-  void finish_shutdown() noexcept {
-    discarding_ = true;
-    if (fd_ >= 0) {
-      try {
-        // Bounded waits: the ring pump inside wait_io is what lets a
-        // worker parked on a full outbox drain, finish and close.
-        while (!eof_ && !failed_) wait_io(/*want_write=*/false,
-                                          /*timeout_ms=*/10);
-      } catch (...) {
-        // Corrupt trailing frames on a teardown path are ignorable.
-      }
-    }
-    teardown();
-  }
+  void pump_side() override { pump_rings(); }
 
  private:
-  void teardown() noexcept {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    if (pid_ > 0 && !reaped_) {
-      if (failed_) ::kill(pid_, SIGKILL);
-      int status = 0;
-      while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-      }
-      reaped_ = true;
-    }
-    // Queued results parsed but never popped would pin their slots
-    // forever; a clean run has none, an aborted one hands them back.
-    while (!results_.empty()) results_.pop_front();  // Payload releases
-  }
-
-  [[noreturn]] void throw_dead() { std::rethrow_exception(error_); }
-  void throw_if_dead() {
-    if (failed_) throw_dead();
-  }
-
-  std::optional<ResultMessage> pop_result() {
-    if (results_.empty()) return std::nullopt;
-    ResultMessage result = std::move(results_.front());
-    results_.pop_front();
-    ++stats_->messages_received;
-    return result;
-  }
-
-  void mark_failed(const std::string& reason) {
-    if (failed_) return;
-    std::string what = "worker process " + std::to_string(index_) + ": " +
-                       reason;
-    if (pid_ > 0 && !reaped_) {
-      int status = 0;
-      const pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
-      if (reaped == pid_) {
-        reaped_ = true;
-        if (WIFSIGNALED(status)) {
-          what += " (killed by signal " + std::to_string(WTERMSIG(status)) +
-                  ")";
-        } else if (WIFEXITED(status)) {
-          what += " (exit status " + std::to_string(WEXITSTATUS(status)) +
-                  ")";
-        }
-      }
-    }
-    error_ = std::make_exception_ptr(std::runtime_error(what));
-    failed_ = true;
-  }
-
   /// Commits the frame encoded in tx_ to the worker's inbox ring,
   /// parking on the tail cursor if the ring is somehow full (the
   /// credit window keeps it far from full in practice). Throws if the
@@ -786,254 +601,120 @@ class ShmEndpoint final : public Endpoint {
     while (!inbox.try_push(tx_.data(), tx_.size())) {
       throw_if_dead();
       pump_rings();  // a worker parked pushing results cannot drain
-      inbox.park_producer(inbox.tail.load(std::memory_order_acquire),
-                          /*timeout_ms=*/10);
+      inbox.park_producer(/*timeout_ms=*/10);
       pump();  // a dead worker will never drain the ring
     }
   }
 
-  /// Drains the worker's outbox ring: every frame the worker committed
-  /// is decoded and queued (or, while discarding, dropped -- which
-  /// releases its arena slot). Two shared-memory loads when the ring
-  /// is empty; never a syscall. A decommissioned endpoint's rings are
-  /// never popped: their frames reference slots drain() already swept.
+  /// Drains the worker's outbox ring: every result descriptor the
+  /// worker committed is decoded and queued (or, while discarding,
+  /// dropped -- which releases its arena slot). Two shared-memory loads
+  /// when the ring is empty; never a syscall. A decommissioned
+  /// endpoint's rings are never popped: their frames reference slots
+  /// drain() already swept.
   void pump_rings() {
     if (killed_ || drained_) return;
     try {
       while (rings_->outbox.try_pop(ring_rx_)) {
         if (ring_rx_.empty()) continue;  // sentinel: never sent inbound
         stats_->bytes_received += serde::kLengthBytes + ring_rx_.size();
-        dispatch(ring_rx_.data(), ring_rx_.size());
+        if (serde::frame_type(ring_rx_.data(), ring_rx_.size()) !=
+            FrameType::kResultRef) {
+          mark_failed("unexpected frame from worker");
+          return;
+        }
+        const auto serde_begin = Clock::now();
+        ResultMessage result = serde::decode_result_ref(
+            ring_rx_.data(), ring_rx_.size(), *arena_);
+        stats_->serde_seconds += seconds_since(serde_begin);
+        stats_->bytes_zero_copied += result.c.size() * sizeof(double);
+        if (discarding_) continue;  // Payload releases the slot right here
+        results_.push_back(std::move(result));
       }
     } catch (const std::exception& error) {
       mark_failed(std::string("protocol corruption: ") + error.what());
     }
   }
 
-  /// Socket pump rate-limited to the death-detection budget: drains
-  /// the socket when the worker raised its rx hint (it wrote a hello
-  /// or error frame) or when a millisecond passed since the last look
-  /// (a SIGKILL'd child raises no hint -- only an EOF).
+  /// Socket pump rate-limited to the death-detection budget: past the
+  /// bootstrap hello the socket carries only a dying worker's error
+  /// notice and EOF, so one look per millisecond replaces a recv(2)
+  /// per sweep that would almost always return EAGAIN.
   void gated_pump() {
     const auto now = Clock::now();
-    if (acks_->take_rx_hint(static_cast<std::size_t>(index_)) ||
-        now - last_pump_ >= std::chrono::milliseconds(1)) {
+    if (now - last_pump_ >= std::chrono::milliseconds(1)) {
       last_pump_ = now;
       pump();
     }
   }
 
-  void wait_io(bool want_write = false, int timeout_ms = -1) {
-    pump_rings();
-    if (eof_ || fd_ < 0) {
-      if (!failed_) mark_failed("connection closed");
-      return;
-    }
-    struct pollfd entry;
-    entry.fd = fd_;
-    entry.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-    entry.revents = 0;
-    const int ready = ::poll(&entry, 1, timeout_ms);
-    if (ready < 0 && errno != EINTR) {
-      mark_failed(std::string("poll failed: ") + std::strerror(errno));
-      return;
-    }
-    pump();
-    pump_rings();
-  }
-
-  void pump() {
-    if (eof_ || fd_ < 0) return;
-    std::uint8_t buffer[1 << 16];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        rx_.insert(rx_.end(), buffer, buffer + n);
-        if (static_cast<std::size_t>(n) < sizeof buffer) break;
-        continue;
-      }
-      if (n == 0) {
-        eof_ = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        eof_ = true;
-        break;
-      }
-      mark_failed(std::string("recv failed: ") + std::strerror(errno));
-      return;
-    }
-    parse_frames();
-    if (eof_ && !failed_ && !discarding_)
-      mark_failed("exited unexpectedly (connection closed)");
-  }
-
-  void parse_frames() {
-    std::size_t cursor = 0;
-    while (rx_.size() - cursor >= serde::kLengthBytes) {
-      std::uint64_t length = 0;
-      try {
-        length = serde::checked_frame_length(rx_.data() + cursor,
-                                             kBootstrapFrameBytes);
-      } catch (const std::exception& error) {
-        mark_failed(error.what());
-        break;
-      }
-      if (rx_.size() - cursor - serde::kLengthBytes < length) break;
-      try {
-        dispatch(rx_.data() + cursor + serde::kLengthBytes,
-                 static_cast<std::size_t>(length));
-      } catch (const std::exception& error) {
-        mark_failed(std::string("protocol corruption: ") + error.what());
-        break;
-      }
-      cursor += serde::kLengthBytes + static_cast<std::size_t>(length);
-      stats_->bytes_received += serde::kLengthBytes +
-                                static_cast<std::size_t>(length);
-    }
-    if (cursor > 0)
-      rx_.erase(rx_.begin(),
-                rx_.begin() + static_cast<std::ptrdiff_t>(cursor));
-  }
-
-  void dispatch(const std::uint8_t* body, std::size_t size) {
-    switch (serde::frame_type(body, size)) {
-      case FrameType::kResultRef: {
-        const auto serde_begin = Clock::now();
-        ResultMessage result = serde::decode_result_ref(body, size, *arena_);
-        stats_->serde_seconds += seconds_since(serde_begin);
-        stats_->bytes_zero_copied += result.c.size() * sizeof(double);
-        if (discarding_) break;  // Payload releases the slot right here
-        results_.push_back(std::move(result));
-        break;
-      }
-      case FrameType::kHello: {
-        const serde::HelloFrame hello = serde::decode_hello(body, size);
-        HMXP_CHECK(hello.same_kernel_config(expected_hello_),
-                   "worker process booted with a divergent kernel "
-                   "configuration (tier/micro-kernel/tuned blocking)");
-        hello_seen_ = true;
-        break;
-      }
-      case FrameType::kError:
-        mark_failed(serde::decode_error(body, size));
-        break;
-      default:
-        mark_failed("unexpected frame from worker");
-        break;
-    }
-  }
-
   int index_;
-  int fd_;
-  pid_t pid_;
-  std::size_t capacity_;
-  std::uint64_t sent_ = 0;
-  serde::HelloFrame expected_hello_;
   RingChannel* rings_;
   SharedArena* arena_;
   SharedAckBoard* acks_;
-  TransportStats* stats_;
-  ByteBuffer rx_;       // socket bytes (hello / error frames)
-  ByteBuffer tx_;       // per-message encode scratch
+  std::uint64_t sent_ = 0;
   ByteBuffer ring_rx_;  // per-frame ring pop scratch
-  std::deque<ResultMessage> results_;
   Clock::time_point last_pump_{};
-  std::exception_ptr error_;
-  bool failed_ = false;
-  bool killed_ = false;
-  bool eof_ = false;
-  bool hello_seen_ = false;
-  bool discarding_ = false;
   bool drained_ = false;
-  bool reaped_ = false;
 };
 
-class ShmTransport final : public Transport {
+class ShmTransport final : public FramedTransport<ShmEndpoint> {
  public:
   ShmTransport(int workers, std::size_t inbox_capacity,
                const ExecutorOptions& options, Clock::time_point run_begin,
-               std::size_t max_payload_doubles)
+               BufferPool* pool, std::size_t max_payload_doubles)
       // The arena, ack board and rings MUST exist before the first
       // fork: MAP_SHARED pages created here are the ones every child
       // inherits.
-      : arena_(static_cast<std::size_t>(workers) * kSlotsPerWorker,
+      : FramedTransport(workers),
+        arena_(static_cast<std::size_t>(workers) * kSlotsPerWorker,
                std::max<std::size_t>(max_payload_doubles, 1)),
         acks_(static_cast<std::size_t>(workers)),
-        rings_(static_cast<std::size_t>(workers)),
-        endpoint_stats_(static_cast<std::size_t>(workers)) {
+        rings_(static_cast<std::size_t>(workers)) {
     // Resolve (possibly autotune) the blocking in the master, before
     // any fork; children re-assert and answer for exactly this state.
     const matrix::KernelConfig config = matrix::current_kernel_config();
     const serde::HelloFrame expected_hello = serde::local_hello(config);
-
-    const auto count = static_cast<std::size_t>(workers);
-    std::vector<int> master_fds(count, -1);
-    std::vector<int> child_fds(count, -1);
     try {
-      for (std::size_t i = 0; i < count; ++i) {
-        int fds[2];
-        HMXP_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
-                   "socketpair failed");
-        master_fds[i] = fds[0];
-        child_fds[i] = fds[1];
-      }
-      endpoints_.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const WorkerContext context =
-            make_worker_context(options, static_cast<int>(i), run_begin);
-
-        const pid_t pid = ::fork();
-        HMXP_CHECK(pid >= 0, "fork failed");
-        if (pid == 0) {
-          // Child: keep only this worker's own end.
-          for (std::size_t j = 0; j < count; ++j) {
-            if (master_fds[j] >= 0) ::close(master_fds[j]);
-            if (j != i && child_fds[j] >= 0) ::close(child_fds[j]);
-          }
-          run_child(child_fds[i], context, rings_.channel(i), &arena_,
-                    &acks_, i, config);  // never returns
-        }
-        ::close(child_fds[i]);
-        child_fds[i] = -1;
-        const int fd = master_fds[i];
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        HMXP_CHECK(flags >= 0 &&
-                       ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                   "fcntl O_NONBLOCK failed");
-        endpoints_.push_back(std::make_unique<ShmEndpoint>(
-            static_cast<int>(i), fd, pid, inbox_capacity, expected_hello,
-            rings_.channel(i), &arena_, &acks_, &endpoint_stats_[i]));
-      }
+      spawn_socketpair_workers(
+          static_cast<std::size_t>(workers),
+          [&](std::size_t i, int fd) {
+            const WorkerContext context =
+                make_worker_context(options, static_cast<int>(i), run_begin);
+            // The arena object arrives via the inherited heap; its PAGES
+            // are MAP_SHARED, so the child's slot releases are the
+            // master's. The child's private pool only ever serves
+            // scratch buffers (the slowdown emulation).
+            run_worker_child(config, &fd, [&](BufferPool& child_pool) {
+              send_local_hello(fd);
+              ShmWorkerPort port(rings_.channel(i), &arena_, &acks_, i);
+              worker_main(context, port, child_pool);
+            });
+          },
+          [&](std::size_t i, int fd, pid_t pid) {
+            endpoints_.push_back(std::make_unique<ShmEndpoint>(
+                static_cast<int>(i), fd, pid, inbox_capacity, expected_hello,
+                rings_.channel(i), &arena_, &acks_, pool,
+                &endpoint_stats_[i]));
+          });
     } catch (...) {
-      for (std::size_t j = endpoints_.size(); j < count; ++j)
-        if (master_fds[j] >= 0) ::close(master_fds[j]);
-      for (const int fd : child_fds)
-        if (fd >= 0) ::close(fd);
       shutdown();
       throw;
     }
     for (auto& endpoint : endpoints_) endpoint->wait_hello();
   }
 
-  ~ShmTransport() override { shutdown(); }
+  ~ShmTransport() override {
+    shutdown();
+    // The endpoints point into the arena, ack board and rings: destroy
+    // them first, on every destruction path.
+    endpoints_.clear();
+  }
 
   TransportKind kind() const override { return TransportKind::kShm; }
-  int worker_count() const override {
-    return static_cast<int>(endpoints_.size());
-  }
-  Endpoint& endpoint(int worker) override {
-    HMXP_REQUIRE(worker >= 0 &&
-                     static_cast<std::size_t>(worker) < endpoints_.size(),
-                 "worker index out of range");
-    return *endpoints_[static_cast<std::size_t>(worker)];
-  }
 
   void shutdown() noexcept override {
-    for (auto& endpoint : endpoints_) endpoint->begin_shutdown();
-    for (auto& endpoint : endpoints_) endpoint->finish_shutdown();
+    FramedTransport::shutdown();
     if (!leak_recorded_) {
       // Every child is reaped: any slot still held is a reclamation
       // bug the stats must expose (tests assert this is 0). The final
@@ -1046,26 +727,18 @@ class ShmTransport final : public Transport {
   }
 
   TransportStats stats() const override {
-    TransportStats stats;
-    for (const TransportStats& slot : endpoint_stats_) stats += slot;
+    TransportStats stats = FramedTransport::stats();
     const SharedArena::Stats arena = arena_.stats();
     stats.arena_slots = arena_.slot_count();
     stats.arena_peak_slots = arena.peak_in_use;
-    stats.arena_leaked_slots =
-        leak_recorded_ ? leaked_slots_ : arena.in_use;
+    stats.arena_leaked_slots = leak_recorded_ ? leaked_slots_ : arena.in_use;
     return stats;
   }
 
  private:
-  // Declared before the endpoints: they hold arena, ack-board, ring
-  // and stats-slot pointers, so all four must outlive them on every
-  // destruction path. One stats slot per endpoint (stable addresses,
-  // never resized) so concurrent fleet jobs never race on a counter.
   SharedArena arena_;
   SharedAckBoard acks_;
   SharedRingBlock rings_;
-  std::vector<TransportStats> endpoint_stats_;
-  std::vector<std::unique_ptr<ShmEndpoint>> endpoints_;
   std::size_t leaked_slots_ = 0;
   bool leak_recorded_ = false;
 };
@@ -1076,9 +749,8 @@ std::unique_ptr<Transport> make_shm_transport(
     int workers, std::size_t inbox_capacity, const ExecutorOptions& options,
     std::chrono::steady_clock::time_point run_begin, BufferPool* pool,
     std::size_t max_payload_doubles) {
-  (void)pool;  // shm payloads live in the arena, not the master pool
   return std::make_unique<ShmTransport>(workers, inbox_capacity, options,
-                                        run_begin, max_payload_doubles);
+                                        run_begin, pool, max_payload_doubles);
 }
 
 }  // namespace hmxp::runtime

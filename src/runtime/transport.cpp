@@ -42,8 +42,6 @@ TransportStats& TransportStats::operator+=(const TransportStats& other) {
   arena_slots += other.arena_slots;
   arena_peak_slots += other.arena_peak_slots;
   arena_leaked_slots += other.arena_leaked_slots;
-  frames_compressed += other.frames_compressed;
-  bytes_saved_by_compression += other.bytes_saved_by_compression;
   return *this;
 }
 

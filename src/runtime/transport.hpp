@@ -5,35 +5,39 @@
 //
 // The master loop (runtime/executor.cpp) is written against this
 // interface only; it never touches a channel, a thread, or a file
-// descriptor. Two transports implement it:
+// descriptor. Four transports implement it:
 //
 //   * ThreadTransport  (thread_transport.cpp) -- one std::thread per
 //     worker over bounded in-process channels. Zero-copy: messages move
 //     by value, payload vectors cycle through the shared BufferPool.
-//     Behaviour-identical to the pre-transport executor.
 //   * ProcessTransport (process_transport.cpp) -- one forked worker
 //     PROCESS per worker over a socketpair(2), messages serialized as
 //     length-prefixed frames (runtime/serde.hpp). The real isolation of
 //     the paper's MPI deployment: a SIGKILL'd child is a first-class
 //     worker failure the master survives under tolerate_faults.
-//   * ShmTransport (shm_transport.cpp) -- forked workers whose whole
-//     data plane lives in pre-fork MAP_SHARED memory: payloads in a
-//     SharedArena, descriptor frames (slot, length) in per-worker SPSC
-//     byte rings, and dequeue acknowledgements on a futex-backed shared
-//     ack board. The socketpair survives only as the bootstrap and
-//     death channel (hello, worker error reports, EOF on child exit).
-//     Zero-copy ACROSS the process boundary: process isolation at
-//     thread-backend speed.
+//   * TcpTransport (tcp_transport.cpp) -- the same frames over loopback
+//     TCP: forked workers DIAL the master, handshake with an identity
+//     token, and redial after a dropped link to be re-admitted mid-run.
+//   * ShmTransport (shm_transport.cpp) -- forked workers whose data
+//     plane lives in pre-fork MAP_SHARED memory: payloads in a
+//     SharedArena, descriptor frames in per-worker SPSC rings, dequeue
+//     acknowledgements on a futex-backed ack board. Zero-copy ACROSS
+//     the process boundary.
+//
+// The three forking transports share one framed socket core
+// (runtime/framed_endpoint.hpp): the master-side endpoint (credits,
+// frame parsing under a length bound, failure synthesis, shutdown and
+// reaping), the worker-side port with its goodbye latch, the child's
+// life and the spawn loop. For shm the socket is only the bootstrap and
+// death channel (hello, error notices, EOF on child exit).
 //
 // All preserve the semantic load-bearing bound of the simulator's
 // engine: a worker's inbox holds at most `inbox_capacity` messages (the
 // chunk plus prefetch_depth + 1 operand batches), so a master pushing
 // past a worker's buffer capacity BLOCKS -- channels enforce it with
-// their queue bound, the process transport with explicit buffer credits
-// the worker returns as it dequeues, the shm transport by comparing its
-// sent counter against the worker's ack-board dequeue counter. A
-// real-cluster (MPI/ssh) transport is a drop-in implementation of the
-// same interface.
+// their queue bound, the framed core with explicit buffer credits the
+// worker returns as it dequeues, the shm transport by comparing its
+// sent counter against the worker's ack-board dequeue counter.
 #pragma once
 
 #include <chrono>
@@ -78,13 +82,6 @@ struct TransportStats {
   std::size_t arena_slots = 0;
   std::size_t arena_peak_slots = 0;
   std::size_t arena_leaked_slots = 0;
-  /// Wire-compression outcome (TCP transport with
-  /// ExecutorOptions::wire_compression on): master-side frames that
-  /// shipped compressed, and the bytes the codec removed from them. The
-  /// sender keeps a frame raw when compression fails to shrink it, so
-  /// incompressible traffic leaves both counters at 0.
-  std::size_t frames_compressed = 0;
-  std::size_t bytes_saved_by_compression = 0;
 
   /// Field-wise accumulation. Transports keep one stats slot PER
   /// endpoint (each endpoint writes only its own, so two master loops

@@ -3,11 +3,11 @@
 // both versions), frame-length validation (a corrupt 8-byte prefix must
 // fail the connection cleanly, never size an allocation), the shared
 // socket I/O helpers' death classification (mid-frame EOF is a distinct
-// peer-died error), the zero-RLE wire codec, loopback-TCP live and
-// replay parity with the thread transport for every registered
-// scheduler, and the disconnect/reconnect lifecycle: a worker severed
-// mid-run redials, is re-admitted, and the run completes bit-for-bit
-// equal to the fault-free product.
+// peer-died error), loopback-TCP live and replay parity with the
+// thread transport for every registered scheduler, and the
+// disconnect/reconnect lifecycle: a worker severed mid-run redials, is
+// re-admitted, and the run completes bit-for-bit equal to the
+// fault-free product.
 //
 // Like the process suite, everything that forks skips under TSan.
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "runtime/serde.hpp"
 #include "runtime/socket_util.hpp"
 #include "runtime/tcp_transport.hpp"
-#include "runtime/wire_compress.hpp"
 #include "sched/registry.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
@@ -252,100 +251,6 @@ TEST(SocketUtil, GarbageBodyFailsInTheDecoderNotTheTransport) {
                std::runtime_error);
 }
 
-// ---- zero-RLE wire codec ----------------------------------------------------
-
-TEST(WireCompress, RoundTripsAndShrinksZeroRuns) {
-  std::vector<std::uint8_t> raw(4096, 0);
-  for (std::size_t i = 0; i < raw.size(); i += 97) raw[i] = 0xC3;
-
-  std::vector<std::uint8_t> packed;
-  wire::compress(raw.data(), raw.size(), packed);
-  EXPECT_LT(packed.size(), raw.size() / 4);
-
-  std::vector<std::uint8_t> unpacked(raw.size());
-  wire::decompress(packed.data(), packed.size(), unpacked.data(),
-                   unpacked.size());
-  EXPECT_EQ(unpacked, raw);
-
-  // Incompressible input round-trips too (the codec may expand it; the
-  // SENDER keeps such frames raw, the codec just has to be correct).
-  std::vector<std::uint8_t> noise;
-  for (std::size_t i = 0; i < 257; ++i)
-    noise.push_back(static_cast<std::uint8_t>(i * 131 + 7));
-  packed.clear();
-  wire::compress(noise.data(), noise.size(), packed);
-  std::vector<std::uint8_t> back(noise.size());
-  wire::decompress(packed.data(), packed.size(), back.data(), back.size());
-  EXPECT_EQ(back, noise);
-}
-
-TEST(WireCompress, CorruptStreamsThrowInsteadOfOverflowing) {
-  // A zero-run that overflows the declared raw size.
-  const std::uint8_t overflow[] = {0x00, 0xFF};  // 256 zeros
-  std::uint8_t small[8];
-  EXPECT_THROW(wire::decompress(overflow, sizeof overflow, small,
-                                sizeof small),
-               std::runtime_error);
-  // A run marker with no count byte.
-  const std::uint8_t truncated[] = {0x42, 0x00};
-  EXPECT_THROW(wire::decompress(truncated, sizeof truncated, small,
-                                sizeof small),
-               std::runtime_error);
-  // A stream that ends before filling the declared raw size.
-  const std::uint8_t short_stream[] = {0x01, 0x02};
-  EXPECT_THROW(wire::decompress(short_stream, sizeof short_stream, small,
-                                sizeof small),
-               std::runtime_error);
-}
-
-TEST(WireCompress, CompressedFramesRejectBombsAndNesting) {
-  // A legitimate wrapped frame round-trips.
-  std::vector<std::uint8_t> body(2048, 0);
-  body[0] = 3;  // FrameType::kResult, rest zeros: highly compressible
-  serde::ByteBuffer wrapped;
-  serde::encode_compressed(body.data(), body.size(), wrapped);
-  EXPECT_LT(wrapped.size(), body.size());
-  const std::uint64_t length = serde::decode_length(wrapped.data());
-  serde::ByteBuffer raw;
-  serde::decode_compressed(wrapped.data() + serde::kLengthBytes,
-                           static_cast<std::size_t>(length), kTestFrameLimit,
-                           raw);
-  ASSERT_EQ(raw.size(), body.size());
-  EXPECT_EQ(0, std::memcmp(raw.data(), body.data(), body.size()));
-
-  // A decompression bomb: tiny stream declaring a huge raw size.
-  serde::ByteBuffer bomb;
-  serde::encode_compressed(body.data(), body.size(), bomb);
-  const std::uint64_t fake_raw = 1ull << 55;
-  std::memcpy(bomb.data() + serde::kLengthBytes + 1, &fake_raw,
-              sizeof fake_raw);
-  const std::uint64_t bomb_length = serde::decode_length(bomb.data());
-  try {
-    serde::decode_compressed(bomb.data() + serde::kLengthBytes,
-                             static_cast<std::size_t>(bomb_length),
-                             kTestFrameLimit, raw);
-    FAIL() << "expected the declared raw size to be refused";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("refusing to inflate"),
-              std::string::npos)
-        << error.what();
-  }
-
-  // Nesting: a kCompressed frame whose payload is itself kCompressed
-  // must be rejected, not recursed into.
-  serde::ByteBuffer inner;
-  serde::encode_compressed(body.data(), body.size(), inner);
-  serde::ByteBuffer outer;
-  serde::encode_compressed(inner.data() + serde::kLengthBytes,
-                           inner.size() - serde::kLengthBytes, outer);
-  const std::uint64_t outer_length = serde::decode_length(outer.data());
-  EXPECT_THROW(
-      serde::decode_compressed(outer.data() + serde::kLengthBytes,
-                               static_cast<std::size_t>(outer_length),
-                               kTestFrameLimit, raw),
-      std::runtime_error);
-}
-
 // ---- loopback-TCP parity ----------------------------------------------------
 
 platform::Platform hetero_platform() {
@@ -519,49 +424,6 @@ TEST(TcpBackend, DisconnectedWorkerReconnectsAndRecoversBitForBit) {
   }
   EXPECT_TRUE(saw_rejoin)
       << "disconnected worker was never re-admitted in 5 attempts";
-}
-
-// ---- wire compression -------------------------------------------------------
-
-TEST(TcpBackend, WireCompressionShrinksTrafficAndPreservesBits) {
-  HMXP_SKIP_UNDER_TSAN();
-  const matrix::Partition part(40, 40, 56, 8);
-  const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 40);
-  const auto a = random_matrix(40, 40, 31);
-  const auto b = random_matrix(40, 56, 32);
-  // An all-zero initial C: outbound chunk frames are long zero runs,
-  // the codec's best case (the regime where wire compression pays).
-  const matrix::Matrix c_initial(40, 56, 0.0);
-
-  matrix::Matrix c_raw = c_initial;
-  TransportStats raw_stats;
-  {
-    auto scheduler = sched::Registry::instance().make("ODDOML", plat, part);
-    ExecutorOptions options;
-    options.transport = TransportKind::kTcp;
-    const ExecutorReport report =
-        execute_online(*scheduler, plat, part, a, b, c_raw, options);
-    EXPECT_TRUE(report.verified);
-    raw_stats = report.transport_stats;
-    EXPECT_EQ(raw_stats.frames_compressed, 0u);
-  }
-
-  matrix::Matrix c_packed = c_initial;
-  {
-    auto scheduler = sched::Registry::instance().make("ODDOML", plat, part);
-    ExecutorOptions options;
-    options.transport = TransportKind::kTcp;
-    options.wire_compression = true;
-    const ExecutorReport report =
-        execute_online(*scheduler, plat, part, a, b, c_packed, options);
-    EXPECT_TRUE(report.verified);
-    const TransportStats& stats = report.transport_stats;
-    EXPECT_GT(stats.frames_compressed, 0u);
-    EXPECT_GT(stats.bytes_saved_by_compression, 0u);
-    EXPECT_LT(stats.bytes_sent, raw_stats.bytes_sent);
-  }
-
-  EXPECT_EQ(matrix::Matrix::max_abs_diff(c_packed, c_raw), 0.0);
 }
 
 }  // namespace
