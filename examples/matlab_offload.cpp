@@ -83,8 +83,9 @@ int main(int argc, char** argv) {
   const auto a = matrix::Matrix::random(160, 160, rng);
   const auto b = matrix::Matrix::random(160, 480, rng);
   matrix::Matrix c(160, 480, 0.0);
+  const auto scheduler = core::make_scheduler(chosen, plat, exec_part);
   const auto executed =
-      runtime::run_on_data(chosen, plat, exec_part, a, b, c);
+      runtime::execute_online(*scheduler, plat, exec_part, a, b, c);
   std::cout << "Executed " << chosen << " on real data: "
             << executed.updates_performed << " block updates across "
             << executed.chunks_processed << " chunks, max |error| "

@@ -61,8 +61,9 @@ int main() {
 
   // Phase 2: execute the same schedule on real data with one thread per
   // worker, then verify against a reference product.
+  const auto scheduler = core::make_scheduler("Het", plat, part);
   const runtime::ExecutorReport executed =
-      runtime::run_on_data("Het", plat, part, a, b, c);
+      runtime::execute_online(*scheduler, plat, part, a, b, c);
   std::cout << "Threaded execution: " << executed.chunks_processed
             << " chunks, " << executed.updates_performed
             << " block updates, max |error| = " << executed.max_abs_error

@@ -105,7 +105,7 @@ struct RunReport {
   /// phase, i.e. Het).
   std::optional<sched::HetVariant> het_variant;
 
-  /// Online-backend facts (Backend::kOnline / Backend::kProcess only).
+  /// Online-backend facts (every backend but Backend::kSim).
   double online_wall_seconds = 0.0;
   bool online_verified = false;
 };

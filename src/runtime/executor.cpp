@@ -5,11 +5,11 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 
-#include "core/algorithms.hpp"
 #include "matrix/gemm.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/fleet.hpp"
@@ -126,46 +126,37 @@ class ForkVisibilityGuard {
   const matrix::Matrix& c_;
 };
 
-/// The event-driven master: implements ExecutionView over real workers
-/// behind the data-plane Transport (threads or forked processes -- the
-/// master never knows which). Scheduler-visible bookkeeping (port
-/// clock, WorkerProgress, coverage) lives in a model mirror -- a
-/// sim::Engine over the same instance that executes every decision the
-/// master really performs -- while readiness is overridden with ACTUAL
-/// completions: a worker whose result message has arrived is
-/// collectable *now*, whatever the cost model predicted. Blocking
-/// semantics come from the transport: a decision whose real
-/// precondition is unmet blocks the master, exactly like a decision
-/// blocks the simulated port.
+/// Checks C against `reference` (C_initial on entry; the product is
+/// added here) and records the outcome in `report`.
+void verify_product(const matrix::Matrix& a, const matrix::Matrix& b,
+                    const matrix::Matrix& c, matrix::Matrix& reference,
+                    double tolerance, ExecutorReport& report) {
+  matrix::gemm_parallel(a.view(), b.view(), reference.view());
+  report.max_abs_error = matrix::Matrix::max_abs_diff(c, reference);
+  if (report.max_abs_error > tolerance)
+    throw std::runtime_error("runtime verification failed: max |error| = " +
+                             std::to_string(report.max_abs_error));
+  report.verified = true;
+}
+
+/// The event-driven master of one job on a Fleet: implements
+/// ExecutionView over real workers behind the data-plane Transport
+/// (threads or forked processes -- the master never knows which).
+/// Scheduler-visible bookkeeping (port clock, WorkerProgress, coverage)
+/// lives in a model mirror -- a sim::Engine over the same instance that
+/// executes every decision the master really performs -- while
+/// readiness is overridden with ACTUAL completions: a worker whose
+/// result message has arrived is collectable *now*, whatever the cost
+/// model predicted. Blocking semantics come from the transport: a
+/// decision whose real precondition is unmet blocks the master, exactly
+/// like a decision blocks the simulated port.
 class OnlineExecutor final : public sim::ExecutionView {
  public:
-  OnlineExecutor(const platform::Platform& platform,
-                 const matrix::Partition& partition, const matrix::Matrix& a,
-                 const matrix::Matrix& b, matrix::Matrix& c,
-                 const ExecutorOptions& options)
-      : mirror_(sim::InstanceContext::make(platform, partition),
-                options.record_trace),
-        a_(a),
-        b_(b),
-        c_(c),
-        options_(options),
-        worker_count_(static_cast<std::size_t>(platform.size())),
-        views_(worker_count_),
-        pending_(worker_count_),
-        updates_per_worker_(worker_count_, 0),
-        own_speed_(worker_count_),
-        failure_handled_(worker_count_, 0) {
-    pool_ = &own_pool_;
-    wall_speed_ = &own_speed_;
-  }
-
-  /// Fleet mode: the same master loop, re-seated over a long-lived
-  /// fleet's transport, pool and calibration vector. The mirror spans
-  /// the FULL fleet platform; every worker outside `initial_lease`
-  /// starts marked failed (the FT-* scheduler schedules around it) and
-  /// its endpoint is NEVER touched -- another job may be driving it
-  /// concurrently. Grants arriving through `hooks` hot-join through the
-  /// same revive path a re-admitted TCP worker uses.
+  /// The mirror spans the FULL fleet platform; every worker outside
+  /// `initial_lease` starts marked failed (the FT-* scheduler schedules
+  /// around it) and its endpoint is NEVER touched -- another job may be
+  /// driving it concurrently. Grants arriving through `hooks` hot-join
+  /// through the same revive path a re-admitted TCP worker uses.
   OnlineExecutor(Fleet& fleet, const matrix::Partition& partition,
                  const matrix::Matrix& a, const matrix::Matrix& b,
                  matrix::Matrix& c, const FleetJobOptions& job,
@@ -178,26 +169,27 @@ class OnlineExecutor final : public sim::ExecutionView {
         c_(c),
         options_(fleet.options()),
         worker_count_(static_cast<std::size_t>(fleet.size())),
+        fleet_(fleet),
+        transport_(fleet.transport()),
+        pool_(fleet.pool()),
+        wall_speed_(fleet.speeds()),
+        hooks_(hooks),
         views_(worker_count_),
         pending_(worker_count_),
         updates_per_worker_(worker_count_, 0),
         failure_handled_(worker_count_, 0),
-        fleet_(&fleet),
-        hooks_(&hooks),
         leased_(worker_count_, 0),
         ever_leased_(worker_count_, 0) {
     options_.verify = job.verify;
     options_.tolerance = job.tolerance;
     options_.record_trace = job.record_trace;
-    pool_ = &fleet.pool();
-    wall_speed_ = &fleet.speeds();
-    transport_ = &fleet.transport();
     for (const int w : initial_lease) {
       HMXP_REQUIRE(w >= 0 && static_cast<std::size_t>(w) < worker_count_,
                    "lease index out of range");
       HMXP_REQUIRE(fleet.alive(w), "cannot lease a dead worker");
       leased_[static_cast<std::size_t>(w)] = 1;
       ever_leased_[static_cast<std::size_t>(w)] = 1;
+      begin_lease(w);
     }
     for (std::size_t w = 0; w < worker_count_; ++w) {
       if (leased_[w]) continue;
@@ -207,8 +199,6 @@ class OnlineExecutor final : public sim::ExecutionView {
       mirror_.fail_worker(static_cast<int>(w));
     }
   }
-
-  ~OnlineExecutor() override { shutdown(); }
 
   // ----- ExecutionView: the state the live scheduler decides from -----
   model::Time now() const override { return mirror_.now(); }
@@ -255,9 +245,10 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// mirror returns its in-flight chunk to the pending set, queued
   /// messages hand their payload buffers back to the pool, and a
   /// still-running worker is decommissioned through its endpoint (the
-  /// exit error that may cause is expected and never rethrown).
-  /// Idempotent; also the master's internal path when it detects a dead
-  /// worker.
+  /// exit error that may cause is expected and never rethrown). The
+  /// worker stays in the held set, dead, and is reported through
+  /// LeaseHooks::worker_dead. Idempotent; also the master's internal
+  /// path when it detects a dead worker.
   void fail_worker(int worker) override {
     const auto w = static_cast<std::size_t>(worker);
     HMXP_REQUIRE(worker >= 0 && w < worker_count_,
@@ -265,26 +256,21 @@ class OnlineExecutor final : public sim::ExecutionView {
     if (failure_handled_[w]) return;
     failure_handled_[w] = 1;
     ++workers_failed_;
-    Endpoint& endpoint = transport_->endpoint(worker);
+    end_lease(worker);
+    Endpoint& endpoint = transport_.endpoint(worker);
     if (!endpoint.failed()) endpoint.kill();
     // The pending result FIRST: its payload may be an arena slot the
     // dead worker handed over, and drain()'s crash reclamation below
     // frees every slot still tagged with the worker -- releasing after
     // would double-free a slot another worker may already hold.
     if (pending_[w].has_value()) {
-      pending_[w]->c.release_to(*pool_);
+      pending_[w]->c.release_to(pool_);
       pending_[w].reset();
     }
-    endpoint.drain(*pool_);
+    endpoint.drain(pool_);
     views_[w].plan.reset();
     mirror_.fail_worker(worker);
-    if (fleet_ != nullptr && leased_[w]) {
-      // A real death, not a lease release: the fleet permanently loses
-      // the worker and the lease manager must stop offering it.
-      leased_[w] = 0;
-      fleet_->mark_dead(worker);
-      if (hooks_->worker_dead) hooks_->worker_dead(worker);
-    }
+    if (hooks_.worker_dead) hooks_.worker_dead(worker);
   }
 
   /// Static w_i scaled by the worker's observed wall-clock drift: the
@@ -294,10 +280,10 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// 2x mid-run costs 2x in every lookahead that consults it.
   model::Time calibrated_w(int worker) const override {
     return mirror_.platform().worker(worker).w *
-           (*wall_speed_)[static_cast<std::size_t>(worker)].drift();
+           wall_speed_[static_cast<std::size_t>(worker)].drift();
   }
   double observed_drift(int worker) const override {
-    return (*wall_speed_)[static_cast<std::size_t>(worker)].drift();
+    return wall_speed_[static_cast<std::size_t>(worker)].drift();
   }
 
   // ----- the master loop -----
@@ -306,27 +292,7 @@ class OnlineExecutor final : public sim::ExecutionView {
     run_begin_ = Clock::now();
     matrix::Matrix reference;
     if (options_.verify) reference = c_;  // C_initial; product added at end
-
-    // Inbox capacity: the chunk message plus (prefetch + 1) operand
-    // slots for the deepest layout (double buffering, depth 1). The
-    // bound makes a master that overruns a worker's buffers block for
-    // real; per-chunk depths below the bound are enforced in model time
-    // by the mirror's SendAB timing. A fleet job skips all of this: the
-    // fleet's transport (and its workers) already exist.
-    if (fleet_ == nullptr) {
-      // Workers never see the master's matrices (payloads travel
-      // serialized or through the shared arena), so keep those pages
-      // out of the forks entirely -- see ForkVisibilityGuard.
-      const ForkVisibilityGuard fork_guard(
-          options_.transport != TransportKind::kThread, a_, b_, c_);
-      owned_transport_ = make_transport(options_.transport,
-                                        static_cast<int>(worker_count_),
-                                        /*inbox_capacity=*/3, options_,
-                                        run_begin_, pool_,
-                                        max_payload_doubles(partition()));
-      transport_ = owned_transport_.get();
-    }
-    pool_begin_ = pool_->stats();
+    pool_begin_ = pool_.stats();
     const std::size_t max_decisions =
         sim::decision_budget(mirror_.partition());
     std::size_t executed = 0;
@@ -357,8 +323,8 @@ class OnlineExecutor final : public sim::ExecutionView {
           } catch (...) {
             const auto w = static_cast<std::size_t>(decision.worker);
             if (decision.worker >= 0 && w < worker_count_ &&
-                transport_->endpoint(decision.worker).failed() &&
-                !transport_->endpoint(decision.worker).killed() &&
+                transport_.endpoint(decision.worker).failed() &&
+                !transport_.endpoint(decision.worker).killed() &&
                 !failure_handled_[w]) {
               mirror_.restore(rollback_state_);
               fail_worker(decision.worker);
@@ -387,32 +353,22 @@ class OnlineExecutor final : public sim::ExecutionView {
                    "scheduler exceeded decision budget (livelock?)");
       }
     } catch (...) {
-      if (fleet_ != nullptr) {
-        // The job failed mid-flight. A still-leased worker may be
-        // mid-chunk -- its endpoint protocol state is not at a message
-        // boundary, so handing it to another job would corrupt that
-        // job's stream. Kill what we hold; the fleet shrinks.
-        for (std::size_t w = 0; w < worker_count_; ++w) {
-          if (!leased_[w]) continue;
-          try {
-            fail_worker(static_cast<int>(w));
-          } catch (...) {  // best-effort teardown; original error wins
-          }
+      // The job failed mid-flight. A still-leased worker may be
+      // mid-chunk -- its endpoint protocol state is not at a message
+      // boundary, so handing it to another job would corrupt that
+      // job's stream. Kill what we hold; the fleet shrinks.
+      for (std::size_t w = 0; w < worker_count_; ++w) {
+        if (!leased_[w]) continue;
+        try {
+          fail_worker(static_cast<int>(w));
+        } catch (...) {  // best-effort teardown; original error wins
         }
-        publish_calibration();
-        throw;
       }
-      shutdown();
-      rethrow_worker_error();  // a dead worker is the root cause
       throw;
     }
-    if (fleet_ == nullptr) {
-      shutdown();
-      rethrow_worker_error();
-    } else {
-      release_remaining_leases();
-      publish_calibration();
-    }
+    release_remaining_leases();
+    for (std::size_t w = 0; w < worker_count_; ++w)
+      if (!failure_handled_[w]) end_lease(static_cast<int>(w));
 
     ExecutorReport report;
     report.chunks_processed = chunks_processed_;
@@ -421,22 +377,21 @@ class OnlineExecutor final : public sim::ExecutionView {
       report.updates_performed += updates;
     report.workers_failed = workers_failed_;
     report.workers_rejoined = workers_rejoined_;
-    for (const platform::SpeedEstimate& speed : *wall_speed_)
-      report.observed_drift.push_back(speed.drift());
+    // Published snapshots only: another job may be observing a worker
+    // this one no longer holds.
+    for (int w = 0; w < fleet_.size(); ++w)
+      report.observed_drift.push_back(fleet_.drift(w));
     report.result =
         sim::collect_result(scheduler.name(), mirror_, executed);
-    report.buffer_pool = pool_->stats();
+    report.buffer_pool = pool_.stats();
     report.buffer_pool_delta = pool_begin_.delta_to(report.buffer_pool);
     report.speculation = spec_stats_;
     report.speculation.wasted_updates =
         static_cast<std::size_t>(mirror_.snapshot().wasted_updates);
-    report.transport = transport_->name();
-    if (fleet_ == nullptr) {
-      // Fleet endpoints keep streaming for OTHER jobs while this report
-      // is assembled -- reading the shared counters here would race.
-      // Fleet-wide stats are read between jobs via Fleet::transport_stats.
-      report.transport_stats = transport_->stats();
-    }
+    report.transport = transport_.name();
+    // Summed from this job's own leases: the fleet-wide sum would race
+    // with other jobs still streaming.
+    report.transport_stats = job_stats_;
     for (const char used : ever_leased_) report.fleet_workers_used += used;
     report.kernel_variant = matrix::packed_kernel_variant();
     // Mirrors the hello handshake: a tuned blocking only when the
@@ -448,15 +403,23 @@ class OnlineExecutor final : public sim::ExecutionView {
     report.wall_seconds =
         std::chrono::duration<double>(Clock::now() - run_begin_).count();
 
-    if (options_.verify) {
-      matrix::gemm_parallel(a_.view(), b_.view(), reference.view());
-      report.max_abs_error = matrix::Matrix::max_abs_diff(c_, reference);
-      if (report.max_abs_error > options_.tolerance)
-        throw std::runtime_error("runtime verification failed: max |error| = " +
-                                 std::to_string(report.max_abs_error));
-      report.verified = true;
-    }
+    if (options_.verify)
+      verify_product(a_, b_, c_, reference, options_.tolerance, report);
     return report;
+  }
+
+  /// After the fleet's shutdown: if any worker failed, its error is the
+  /// root cause -- rethrow it (the master's own failure, e.g. a refused
+  /// send, is secondary). Errors of workers the master killed on
+  /// purpose, or whose failure was tolerated and recovered from, are
+  /// expected and stay buried.
+  void rethrow_worker_error() {
+    for (std::size_t w = 0; w < worker_count_; ++w) {
+      Endpoint& endpoint = transport_.endpoint(static_cast<int>(w));
+      if (!endpoint.error() || endpoint.killed()) continue;
+      if (options_.tolerate_faults && failure_handled_[w]) continue;
+      std::rethrow_exception(endpoint.error());
+    }
   }
 
  private:
@@ -488,12 +451,12 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// between steps surfaces here, not whenever the master next happens
   /// to touch its endpoint (which could be never).
   void drain_completions() {
-    if (fleet_ != nullptr) fleet_lease_sweep();
+    lease_sweep();
     for (std::size_t w = 0; w < worker_count_; ++w) {
       // NEVER touch an endpoint this job does not hold: another job's
       // master loop may be mid-protocol on it right now.
-      if (fleet_ != nullptr && !leased_[w]) continue;
-      Endpoint& endpoint = transport_->endpoint(static_cast<int>(w));
+      if (!leased_[w]) continue;
+      Endpoint& endpoint = transport_.endpoint(static_cast<int>(w));
       if (failure_handled_[w]) {
         // A handled failure is the safe point to offer re-admission:
         // the mirror rolled back, the in-flight chunk returned to the
@@ -501,10 +464,13 @@ class OnlineExecutor final : public sim::ExecutionView {
         // reconnected with its identity token rejoins HERE, idle -- the
         // scheduler simply sees it alive again and an FT-* policy hands
         // it orphans or fresh territory (hot-join, the dual of PR-4's
-        // failure handling).
-        if (options_.tolerate_faults && endpoint.try_readmit()) {
+        // failure handling). Never once the fleet wrote the worker off
+        // (a lease manager's worker_dead hook): it may not come back.
+        if (options_.tolerate_faults && fleet_.alive(static_cast<int>(w)) &&
+            endpoint.try_readmit()) {
           failure_handled_[w] = 0;
           ++workers_rejoined_;
+          begin_lease(static_cast<int>(w));
           mirror_.revive_worker(static_cast<int>(w));
         }
         continue;
@@ -519,7 +485,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         while ((pending_[w] = endpoint.try_recv()).has_value()) {
           observe_result(w, *pending_[w]);
           if (!stale_result(w, *pending_[w])) break;
-          pending_[w]->c.release_to(*pool_);
+          pending_[w]->c.release_to(pool_);
           pending_[w].reset();
           ++spec_stats_.stale_results;
         }
@@ -533,10 +499,10 @@ class OnlineExecutor final : public sim::ExecutionView {
         }
       }
     }
-    if (fleet_ != nullptr) fleet_starvation_guard();
+    starvation_guard();
   }
 
-  // ----- fleet-mode lease plumbing -----
+  // ----- lease plumbing -----
 
   /// A worker with no resident chunk, no undrained result and no plan:
   /// its endpoint is at a message boundary, so the lease can change
@@ -544,6 +510,26 @@ class OnlineExecutor final : public sim::ExecutionView {
   bool worker_idle(std::size_t w) const {
     return !views_[w].plan.has_value() && !pending_[w].has_value() &&
            !mirror_.progress(static_cast<int>(w)).has_chunk;
+  }
+
+  /// Workers this job holds that are alive right now (a dead worker
+  /// stays held until the job ends, but counts for nothing).
+  int live_held() const {
+    int held = 0;
+    for (const char handled : failure_handled_) held += handled ? 0 : 1;
+    return held;
+  }
+
+  /// Brackets the time this job drives a worker, from grant (or
+  /// re-admission) to release (or death). The endpoint's counters are
+  /// subtracted at the start and added back at the end, so job_stats_
+  /// sums the deltas; the end also publishes the worker's drift for
+  /// lock-free readers (admission, other jobs' reports). Both read
+  /// state only this job may touch until the lease changes hands.
+  void begin_lease(int w) { job_stats_ -= transport_.endpoint(w).stats(); }
+  void end_lease(int w) {
+    job_stats_ += transport_.endpoint(w).stats();
+    fleet_.publish_drift(w, wall_speed_[static_cast<std::size_t>(w)].drift());
   }
 
   void apply_grants(const std::vector<int>& grants) {
@@ -554,6 +540,7 @@ class OnlineExecutor final : public sim::ExecutionView {
       leased_[w] = 1;
       ever_leased_[w] = 1;
       failure_handled_[w] = 0;
+      begin_lease(g);
       // Hot-join: identical to a re-admitted TCP worker -- alive and
       // idle on the mirror, and the FT-* scheduler hands it orphans or
       // fresh territory on its next decision.
@@ -562,11 +549,12 @@ class OnlineExecutor final : public sim::ExecutionView {
   }
 
   void release_lease(std::size_t w) {
+    end_lease(static_cast<int>(w));
     leased_[w] = 0;
     failure_handled_[w] = 1;  // back to "not ours": skip its endpoint
     views_[w].plan.reset();
     mirror_.fail_worker(static_cast<int>(w));
-    if (hooks_->release) hooks_->release(static_cast<int>(w));
+    hooks_.release(static_cast<int>(w));
   }
 
   /// Chunk-boundary rebalancing, run before every scheduling decision:
@@ -574,18 +562,17 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// workers we no longer need -- either because all blocks are
   /// assigned (tail drain: a finished worker immediately starts the
   /// NEXT job's prologue, the pipelined epilogue/prologue overlap) or
-  /// because we hold more than our fair share. If every leased worker
-  /// is gone while work remains, block on the lease manager rather
-  /// than let the FT scheduler conclude the run is unrecoverable.
-  void fleet_lease_sweep() {
-    if (hooks_->poll_grants) apply_grants(hooks_->poll_grants());
+  /// because we hold more than our fair share. With no release hook
+  /// there is no lease manager to hand a worker back to: the job keeps
+  /// every worker, alive on its mirror, to the end.
+  void lease_sweep() {
+    if (hooks_.poll_grants) apply_grants(hooks_.poll_grants());
+    if (!hooks_.release) return;
     const bool tail = mirror_.unassigned_blocks() == 0;
-    int held = 0;
-    for (const char lease : leased_) held += lease;
-    const int target =
-        hooks_->target ? std::max(1, hooks_->target()) : held;
+    int held = live_held();
+    const int target = hooks_.target ? std::max(1, hooks_.target()) : held;
     for (std::size_t w = 0; w < worker_count_ && held > 0; ++w) {
-      if (!leased_[w] || !worker_idle(w)) continue;
+      if (failure_handled_[w] || !worker_idle(w)) continue;
       if (!tail && held <= target) break;  // keep our fair share busy
       release_lease(w);
       --held;
@@ -595,15 +582,12 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// Runs after the endpoint sweep (which is where deaths surface): if
   /// this job lost its last worker mid-run, block on the lease manager
   /// for a replacement instead of letting the FT scheduler conclude
-  /// the run is unrecoverable.
-  void fleet_starvation_guard() {
-    while (!mirror_.all_work_done()) {
-      int held = 0;
-      for (const char lease : leased_) held += lease;
-      if (held > 0) return;
-      HMXP_CHECK(hooks_->wait_grant,
-                 "fleet job has no workers and no grant source");
-      const std::vector<int> grants = hooks_->wait_grant();
+  /// the run is unrecoverable. Without a grant source the scheduler
+  /// decides.
+  void starvation_guard() {
+    if (!hooks_.wait_grant) return;
+    while (!mirror_.all_work_done() && live_held() == 0) {
+      const std::vector<int> grants = hooks_.wait_grant();
       if (grants.empty())
         throw std::runtime_error(
             "fleet job starved: no workers left to grant");
@@ -614,18 +598,10 @@ class OnlineExecutor final : public sim::ExecutionView {
   void release_remaining_leases() {
     // kDone with leases still held (e.g. target kept them busy to the
     // last chunk): they are idle now -- every chunk was received -- so
-    // hand them back cleanly.
+    // hand the live ones back cleanly.
+    if (!hooks_.release) return;
     for (std::size_t w = 0; w < worker_count_; ++w)
-      if (leased_[w]) release_lease(w);
-  }
-
-  /// Publishes each used worker's drift snapshot for lock-free readers
-  /// (the admission controller) -- the SpeedEstimate vector itself is
-  /// only safe under the lease protocol.
-  void publish_calibration() {
-    for (std::size_t w = 0; w < worker_count_; ++w)
-      if (ever_leased_[w])
-        fleet_->publish_drift(static_cast<int>(w), (*wall_speed_)[w].drift());
+      if (!failure_handled_[w]) release_lease(w);
   }
 
   /// Folds a returned chunk into the master's bookkeeping: its measured
@@ -640,8 +616,7 @@ class OnlineExecutor final : public sim::ExecutionView {
           static_cast<double>(result.plan.steps[s].updates);
       const double seconds = result.step_seconds[s];
       if (updates <= 0 || seconds <= 0) continue;  // below clock resolution
-      (*wall_speed_)[w].observe(seconds / updates,
-                                options_.calibration.alpha);
+      wall_speed_[w].observe(seconds / updates, options_.calibration.alpha);
     }
     const std::size_t performed =
         std::min(result.updates_performed, result.plan.steps.size());
@@ -654,8 +629,10 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// per-block time, scaled by the link's drifting bandwidth factor.
   void throttle(int worker, double blocks) {
     if (options_.throttle_block_seconds <= 0.0) return;
+    // Keyed on the same origin as the workers' schedules.
     const double elapsed =
-        std::chrono::duration<double>(Clock::now() - run_begin_).count();
+        std::chrono::duration<double>(Clock::now() - fleet_.spawn_time())
+            .count();
     const double factor =
         options_.perturbation.bandwidth_factor(worker, elapsed);
     std::this_thread::sleep_for(std::chrono::duration<double>(
@@ -665,7 +642,7 @@ class OnlineExecutor final : public sim::ExecutionView {
   void execute_real(const sim::Decision& decision) {
     const auto w = static_cast<std::size_t>(decision.worker);
     MasterView& view = views_[w];
-    Endpoint& endpoint = transport_->endpoint(decision.worker);
+    Endpoint& endpoint = transport_.endpoint(decision.worker);
     const matrix::Partition& part = mirror_.partition();
     const std::size_t q = part.q();
 
@@ -676,7 +653,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         message.plan = decision.chunk;
         message.element_rows = window.rows();
         message.element_cols = window.cols();
-        message.c = copy_window(endpoint, *pool_, c_, window.row0, window.row1,
+        message.c = copy_window(endpoint, pool_, c_, window.row0, window.row1,
                                 window.col0, window.col1);
         message.seq = ++view.seq;
         throttle(decision.worker,
@@ -697,9 +674,9 @@ class OnlineExecutor final : public sim::ExecutionView {
         message.step = view.steps_sent;
         message.k_elem_begin = ek0;
         message.k_elems = ek1 - ek0;
-        message.a = copy_window(endpoint, *pool_, a_, view.window.row0,
+        message.a = copy_window(endpoint, pool_, a_, view.window.row0,
                                 view.window.row1, ek0, ek1);
-        message.b = copy_window(endpoint, *pool_, b_, ek0, ek1,
+        message.b = copy_window(endpoint, pool_, b_, ek0, ek1,
                                 view.window.col0, view.window.col1);
         throttle(decision.worker, static_cast<double>(step.operand_blocks));
         endpoint.send(std::move(message));
@@ -715,7 +692,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         // waiting on the port, as in the model).
         while (!result.has_value() || stale_result(w, *result)) {
           if (result.has_value()) {
-            result->c.release_to(*pool_);
+            result->c.release_to(pool_);
             ++spec_stats_.stale_results;
           }
           result = endpoint.recv();
@@ -736,7 +713,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         matrix::copy_into(src, dst);
         // The chunk is folded in; recycle its storage for the next send
         // (pool vector or arena slot, per the transport).
-        result->c.release_to(*pool_);
+        result->c.release_to(pool_);
         ++chunks_processed_;
         view.plan.reset();
         break;
@@ -749,7 +726,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         // or by the stale-seq filters on the receive paths.
         endpoint.send(CancelMessage{view.seq});
         if (pending_[w].has_value()) {
-          pending_[w]->c.release_to(*pool_);
+          pending_[w]->c.release_to(pool_);
           pending_[w].reset();
           ++spec_stats_.stale_results;
         }
@@ -759,59 +736,28 @@ class OnlineExecutor final : public sim::ExecutionView {
     }
   }
 
-  /// Stops and reclaims every worker through the transport (join
-  /// threads / reap child processes). Idempotent, safe on error paths.
-  /// A fleet job owns no transport, so this is a no-op for it -- the
-  /// fleet's workers live on to serve the next job.
-  void shutdown() noexcept {
-    if (owned_transport_ != nullptr) owned_transport_->shutdown();
-  }
-
-  /// After shutdown: if any worker failed, its error is the root cause
-  /// -- rethrow it (the master's own failure, e.g. a refused send, is
-  /// secondary). Errors of workers the master killed on purpose, or
-  /// whose failure was tolerated and recovered from, are expected and
-  /// stay buried.
-  void rethrow_worker_error() {
-    if (transport_ == nullptr) return;
-    // Fleet mode always tolerates faults: every death this job saw was
-    // handled (and reported through the lease hooks), and foreign
-    // endpoints are not this job's to inspect.
-    if (fleet_ != nullptr) return;
-    for (std::size_t w = 0; w < worker_count_; ++w) {
-      Endpoint& endpoint = transport_->endpoint(static_cast<int>(w));
-      if (!endpoint.error() || endpoint.killed()) continue;
-      if (options_.tolerate_faults && failure_handled_[w]) continue;
-      std::rethrow_exception(endpoint.error());
-    }
-  }
-
   sim::Engine mirror_;
   const matrix::Matrix& a_;
   const matrix::Matrix& b_;
   matrix::Matrix& c_;
-  // Owned-vs-borrowed pairs: a standalone run owns its pool, transport
-  // and calibration; a fleet job borrows all three from the fleet (the
-  // owned slots stay empty). Code paths always go through the pointers.
-  BufferPool own_pool_;  // shared with workers; outlives them (first)
   ExecutorOptions options_;
   std::size_t worker_count_;
-  std::unique_ptr<Transport> owned_transport_;
-  Transport* transport_ = nullptr;
-  BufferPool* pool_ = nullptr;
+  Fleet& fleet_;
+  Transport& transport_;
+  BufferPool& pool_;
+  std::vector<platform::SpeedEstimate>& wall_speed_;
+  const LeaseHooks& hooks_;
   std::vector<MasterView> views_;
   std::vector<std::optional<ResultMessage>> pending_;
   std::vector<std::size_t> updates_per_worker_;
-  std::vector<platform::SpeedEstimate> own_speed_;
-  std::vector<platform::SpeedEstimate>* wall_speed_ = nullptr;
-  std::vector<char> failure_handled_;  // fail_worker() already ran
-  sim::EngineState rollback_state_;    // reused pre-decision snapshot
-  SpeculationStats spec_stats_;
-  // Fleet mode only (nullptr / empty otherwise).
-  Fleet* fleet_ = nullptr;
-  const LeaseHooks* hooks_ = nullptr;
+  // Not alive for this job: dead, or never/no longer leased (set
+  // exactly when fail_worker has run or the worker is not ours).
+  std::vector<char> failure_handled_;
   std::vector<char> leased_;       // holds the lease right now
   std::vector<char> ever_leased_;  // held it at some point this job
+  sim::EngineState rollback_state_;  // reused pre-decision snapshot
+  SpeculationStats spec_stats_;
+  TransportStats job_stats_;  // see begin_lease / end_lease
   BufferPool::Stats pool_begin_{};
   int workers_failed_ = 0;
   int workers_rejoined_ = 0;
@@ -846,8 +792,46 @@ ExecutorReport execute_online(sim::Scheduler& scheduler,
                               matrix::Matrix& c, const ExecutorOptions& options,
                               std::vector<sim::Decision>* decision_log) {
   check_shapes(partition, a, b, c, platform, options);
-  OnlineExecutor executor(platform, partition, a, b, c, options);
-  return executor.run(scheduler, decision_log);
+  const Clock::time_point begin = Clock::now();
+  matrix::Matrix reference;
+  if (options.verify) reference = c;  // C_initial; product added at end
+  std::optional<Fleet> fleet;
+  {
+    // Workers never see the master's matrices (payloads travel
+    // serialized or through the shared arena), so keep those pages out
+    // of the forks entirely -- see ForkVisibilityGuard.
+    const ForkVisibilityGuard fork_guard(
+        options.transport != TransportKind::kThread, a, b, c);
+    fleet.emplace(platform, options, max_payload_doubles(partition));
+  }
+  // One job holding every worker, with no lease manager: nothing is
+  // shed, and nothing marks a worker dead on the fleet, so a redialing
+  // TCP worker is re-admitted.
+  std::vector<int> everyone(static_cast<std::size_t>(platform.size()));
+  std::iota(everyone.begin(), everyone.end(), 0);
+  FleetJobOptions job;  // verify below, after the shutdown
+  job.record_trace = options.record_trace;
+  const LeaseHooks no_lease_manager;
+  OnlineExecutor executor(*fleet, partition, a, b, c, job, everyone,
+                          no_lease_manager);
+  ExecutorReport report;
+  try {
+    report = executor.run(scheduler, decision_log);
+  } catch (...) {
+    fleet->shutdown();
+    executor.rethrow_worker_error();  // a dead worker is the root cause
+    throw;
+  }
+  fleet->shutdown();
+  executor.rethrow_worker_error();
+  // Read after the shutdown, which records the shm arena's final
+  // occupancy (leaked slots included).
+  report.transport_stats = fleet->transport_stats();
+  report.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - begin).count();
+  if (options.verify)
+    verify_product(a, b, c, reference, options.tolerance, report);
+  return report;
 }
 
 ExecutorReport execute_on_fleet(sim::Scheduler& scheduler, Fleet& fleet,
@@ -867,26 +851,6 @@ ExecutorReport execute_on_fleet(sim::Scheduler& scheduler, Fleet& fleet,
   OnlineExecutor executor(fleet, partition, a, b, c, job, initial_lease,
                           hooks);
   return executor.run(scheduler, decision_log);
-}
-
-ExecutorReport execute(const platform::Platform& platform,
-                       const matrix::Partition& partition,
-                       const std::vector<sim::Decision>& decisions,
-                       const matrix::Matrix& a, const matrix::Matrix& b,
-                       matrix::Matrix& c, const ExecutorOptions& options) {
-  sim::ReplayScheduler replay("replay", decisions);
-  return execute_online(replay, platform, partition, a, b, c, options);
-}
-
-ExecutorReport run_on_data(const std::string& algorithm_name,
-                           const platform::Platform& platform,
-                           const matrix::Partition& partition,
-                           const matrix::Matrix& a, const matrix::Matrix& b,
-                           matrix::Matrix& c, const ExecutorOptions& options) {
-  const core::Algorithm algorithm = core::algorithm_from_name(algorithm_name);
-  std::unique_ptr<sim::Scheduler> scheduler =
-      core::make_scheduler(algorithm, platform, partition);
-  return execute_online(*scheduler, platform, partition, a, b, c, options);
 }
 
 }  // namespace hmxp::runtime

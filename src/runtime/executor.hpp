@@ -1,11 +1,17 @@
 // Master-worker runtime: a first-class *online* execution backend. Real
-// workers (one std::thread each, or one forked PROCESS each -- see
+// workers (one std::thread each, or one forked process each over a
+// socketpair, shared memory or loopback TCP -- see
 // ExecutorOptions::transport) plus the calling thread as the master,
 // which runs an event-driven loop: it consults the scheduler live
 // (through sim::ExecutionView), moves real block panels through the
 // data-plane Transport (runtime/transport.hpp), and reacts to actual
 // completion messages -- workers that really finish early get collected
 // early, regardless of what the cost model predicted.
+//
+// There is one master loop. execute_on_fleet runs it as one job on a
+// long-lived Fleet (runtime/fleet.hpp) among others sharing the workers;
+// execute_online is a one-job fleet: spawn, lease every worker, run,
+// shut down.
 //
 // This is the in-machine stand-in for the paper's MPI deployment:
 //  * any Scheduler drives it directly (execute_online); demand-driven
@@ -55,16 +61,18 @@ namespace hmxp::runtime {
 
 struct ExecutorOptions {
   /// Data plane the run's workers live on: kThread (in-process, the
-  /// default) or kProcess (one forked worker process per worker over a
-  /// socketpair -- real address-space isolation; a SIGKILL'd child is a
-  /// recoverable worker failure under tolerate_faults). Every other
-  /// option below behaves identically on both.
+  /// default), or one forked worker process per worker -- kProcess over
+  /// a socketpair, kShm over shared memory, kTcp dialing loopback TCP
+  /// (real address-space isolation; a SIGKILL'd child is a recoverable
+  /// worker failure under tolerate_faults). Every other option below
+  /// behaves identically on all four.
   TransportKind transport = TransportKind::kThread;
   /// Per-worker compute repetition factors (>= 1); empty means all 1.
   /// Entry i applies to worker i, mirroring the paper's slowdown trick.
   std::vector<int> compute_slowdown;
   /// Dynamic perturbation: per-worker slowdown factors that change
-  /// mid-run, keyed on WALL seconds since the run began. Multiplies
+  /// mid-run, keyed on WALL seconds since the workers were spawned
+  /// (Fleet::spawn_time; a standalone run spawns as it begins). Multiplies
   /// compute_slowdown; workers re-read their factor before every step.
   platform::SlowdownSchedule perturbation;
   /// Verify C against a reference product on completion (costly for
@@ -162,10 +170,13 @@ struct ExecutorReport {
   BufferPool::Stats buffer_pool_delta;
   /// Proactive-redundancy outcome (all zero under non-SP schedulers).
   SpeculationStats speculation;
-  /// Which transport moved the data plane ("thread" / "process").
+  /// Which transport moved the data plane (transport_kind_name).
   std::string transport;
   /// Data-plane counters: message counts on every transport, frame
   /// bytes and master-side serialization seconds on serializing ones.
+  /// A fleet job counts only its own traffic, on the workers it held;
+  /// execute_online reads the whole fleet's after shutdown (arena
+  /// occupancy included).
   TransportStats transport_stats;
   /// Compute-plane provenance: the micro-kernel variant ("avx512" /
   /// "avx2+fma" / "portable") and the blocking parameters the packed
@@ -174,8 +185,8 @@ struct ExecutorReport {
   /// dispatched a non-packed tier (naive/tiled consume no blocking).
   std::string kernel_variant;
   matrix::BlockingParams kernel_blocking;
-  /// Fleet-mode only: how many distinct workers ever held this job's
-  /// lease (0 on the classic own-transport paths).
+  /// How many distinct workers ever held this job's lease (every
+  /// worker, for execute_online).
   int fleet_workers_used = 0;
 };
 
@@ -186,7 +197,8 @@ class Fleet;  // fleet.hpp; broken include cycle
 /// lease manager behind them (service/daemon.cpp) provides the mutual
 /// exclusion that makes worker hand-offs safe. Any callback may be
 /// empty: poll_grants/wait_grant default to "no grants ever", target to
-/// "keep everything", release/worker_dead to no-ops.
+/// "keep everything", worker_dead to a no-op. An empty `release` means
+/// no lease manager: the job never sheds a worker, not even at the tail.
 struct LeaseHooks {
   /// Drains workers granted to this job since the last poll (fleet
   /// worker indices; each is idle and alive when granted).
@@ -203,8 +215,9 @@ struct LeaseHooks {
   /// Hands an idle, alive, fully-drained worker back to the pool.
   std::function<void(int)> release;
   /// Reports a worker that REALLY died while this job held it (the
-  /// job's FT-* scheduler re-completes the lost chunk on survivors;
-  /// the fleet never leases the worker again).
+  /// job's FT-* scheduler re-completes the lost chunk on survivors).
+  /// A lease manager that writes the worker off calls Fleet::mark_dead
+  /// here; the job then never re-admits it, even if it redials.
   std::function<void(int)> worker_dead;
 };
 
@@ -216,14 +229,16 @@ struct FleetJobOptions {
   bool record_trace = false;
 };
 
-/// Online execution: drives `scheduler` live against real worker
-/// threads computing C += A * B with A (n_a x n_ab), B (n_ab x n_b),
-/// C (n_a x n_b) under `partition`. The scheduler sees an ExecutionView
-/// whose RecvC readiness reflects actual worker completions. Throws
-/// std::logic_error on protocol violations, std::runtime_error if
-/// verification fails or a worker thread failed. `decision_log`, if
-/// non-null, receives every executed decision (for parity checks and
-/// replay).
+/// Online execution: drives `scheduler` live against real workers
+/// computing C += A * B with A (n_a x n_ab), B (n_ab x n_b),
+/// C (n_a x n_b) under `partition`, as the one job of a fleet spawned
+/// for the run and shut down after it. The scheduler sees an
+/// ExecutionView whose RecvC readiness reflects actual worker
+/// completions. Throws std::logic_error on protocol violations,
+/// std::runtime_error if verification fails or a worker failed (the
+/// worker's own error: the root cause). `decision_log`, if non-null,
+/// receives every executed decision (for parity checks and replay; a
+/// sim::ReplayScheduler replays a recorded log).
 ExecutorReport execute_online(sim::Scheduler& scheduler,
                               const platform::Platform& platform,
                               const matrix::Partition& partition,
@@ -233,27 +248,22 @@ ExecutorReport execute_online(sim::Scheduler& scheduler,
                               std::vector<sim::Decision>* decision_log =
                                   nullptr);
 
-/// Replay backend: executes a prerecorded decision log (e.g. from
-/// sim::run) against real data, through the same online master loop.
-ExecutorReport execute(const platform::Platform& platform,
-                       const matrix::Partition& partition,
-                       const std::vector<sim::Decision>& decisions,
-                       const matrix::Matrix& a, const matrix::Matrix& b,
-                       matrix::Matrix& c, const ExecutorOptions& options = {});
-
-/// Fleet re-entry: the same online master loop, but over a LONG-LIVED
-/// fleet's transport, pool and calibration state instead of its own --
-/// no worker spawn, no teardown, warm buffers. The job's scheduler sees
-/// the full fleet platform with every non-leased worker marked failed
-/// (an FT-* policy simply schedules around them), so `scheduler` MUST
-/// be fault-tolerant. Workers granted mid-run (LeaseHooks::poll_grants)
-/// hot-join exactly like a re-admitted TCP worker; idle workers are
-/// shed at chunk boundaries whenever the job exceeds its fair-share
-/// target, and every worker is released as the tail drains -- the
-/// pipelined epilogue that lets the next job's prologue start while
-/// this job's last chunks come home. On any failure the job KILLS the
-/// workers it still holds (reporting them dead) rather than hand a
-/// non-quiesced worker to the next job. Throws like execute_online.
+/// One job on a LONG-LIVED fleet: the master loop over the fleet's
+/// transport, pool and calibration state -- no worker spawn, no
+/// teardown, warm buffers. The job's scheduler sees the full fleet
+/// platform with every non-leased worker marked failed (an FT-* policy
+/// simply schedules around them), so unless `initial_lease` holds
+/// every worker `scheduler` MUST be fault-tolerant. Workers granted
+/// mid-run (LeaseHooks::poll_grants) hot-join exactly like a
+/// re-admitted TCP worker; with a release hook, idle workers are shed
+/// at chunk boundaries whenever the job exceeds its fair-share target,
+/// and every worker is released as the tail drains -- the pipelined
+/// epilogue that lets the next job's prologue start while this job's
+/// last chunks come home. On any failure the job KILLS the workers it
+/// still holds (reporting them dead) rather than hand a non-quiesced
+/// worker to the next job. Throws like execute_online, but never
+/// rethrows a worker's own error: the fleet outlives the job, so its
+/// owner normally runs it under tolerate_faults.
 ExecutorReport execute_on_fleet(sim::Scheduler& scheduler, Fleet& fleet,
                                 const matrix::Partition& partition,
                                 const matrix::Matrix& a,
@@ -263,15 +273,5 @@ ExecutorReport execute_on_fleet(sim::Scheduler& scheduler, Fleet& fleet,
                                 const FleetJobOptions& job = {},
                                 std::vector<sim::Decision>* decision_log =
                                     nullptr);
-
-/// Convenience: build the scheduler for `algorithm` and run it ONLINE on
-/// real data (no pre-simulation; algorithms with a selection phase, like
-/// Het, still run it inside their builder).
-ExecutorReport run_on_data(const std::string& algorithm_name,
-                           const platform::Platform& platform,
-                           const matrix::Partition& partition,
-                           const matrix::Matrix& a, const matrix::Matrix& b,
-                           matrix::Matrix& c,
-                           const ExecutorOptions& options = {});
 
 }  // namespace hmxp::runtime

@@ -14,9 +14,6 @@ Fleet::Fleet(platform::Platform platform, ExecutorOptions options,
   HMXP_REQUIRE(platform_.size() > 0, "fleet needs at least one worker");
   HMXP_REQUIRE(max_payload_doubles_ > 0,
                "fleet needs a positive payload ceiling");
-  // Jobs run under fault tolerance unconditionally: a fleet outlives
-  // any one job, so a worker death must degrade, never abort.
-  options_.tolerate_faults = true;
   const auto count = static_cast<std::size_t>(platform_.size());
   drift_.reserve(count);
   dead_.reserve(count);
@@ -24,8 +21,11 @@ Fleet::Fleet(platform::Platform platform, ExecutorOptions options,
     drift_.push_back(std::make_unique<std::atomic<double>>(1.0));
     dead_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
-  // Inbox depth 3: the chunk message plus the double-buffered layout's
-  // prefetch + 1 operand slots -- the same bound execute_online uses.
+  // Inbox depth 3: the chunk message plus (prefetch + 1) operand slots
+  // for the deepest layout (double buffering, depth 1). The bound makes
+  // a master that overruns a worker's buffers block for real; per-chunk
+  // depths below the bound are enforced in model time by the mirror's
+  // SendAB timing.
   transport_ = make_transport(options_.transport, platform_.size(),
                               /*inbox_capacity=*/3, options_, spawn_time_,
                               &pool_, max_payload_doubles_);

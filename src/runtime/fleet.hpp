@@ -1,23 +1,23 @@
-// A long-lived worker fleet: the transport, buffer pool and per-worker
-// calibration state of MANY runs, owned once and reused across jobs.
+// A worker fleet: the transport, buffer pool and per-worker calibration
+// state of one or MANY runs, owned once and reused across jobs.
 //
-// Today's execute_online spawns its workers, warms its pools and
-// calibrates its speeds per run, then throws all of that away. A Fleet
-// flips the ownership: the transport (any of the four kinds) is created
-// ONCE, worker_main's job-agnostic loop keeps every worker alive
+// Every live run is a fleet job. execute_online spawns a fleet for one
+// job and shuts it down after; a long-lived owner (service::Daemon)
+// instead keeps the transport (any of the four kinds) for its whole
+// life: worker_main's job-agnostic loop keeps every worker alive
 // between jobs, the BufferPool (and the shm transport's SharedArena)
 // stay warm, and the platform::SpeedEstimate vector keeps accumulating
 // observations -- so the second job starts where the first left off.
 //
 // Concurrency model: multiple jobs run at the same time, each as its
-// own master loop (executor.cpp in fleet mode) driving a DISJOINT set
-// of leased workers. A worker's endpoint is only ever touched by the
-// job currently holding its lease; lease hand-offs synchronize through
-// the lease manager's mutex (service/daemon.cpp), and per-endpoint
-// transport-stats slots keep the counters race-free. The fleet itself
-// only tracks which workers are still alive: a worker that really died
-// (thread exception, SIGKILL'd child, dropped connection) is reported
-// by the job that held it and never leased again.
+// own master loop (executor.cpp) driving a DISJOINT set of leased
+// workers. A worker's endpoint is only ever touched by the job
+// currently holding its lease; lease hand-offs synchronize through the
+// lease manager's mutex (service/daemon.cpp), and per-endpoint
+// transport stats keep the counters race-free. The fleet itself only
+// tracks which workers are still alive: a lease manager told of a
+// worker that really died (thread exception, SIGKILL'd child, dropped
+// connection) marks it dead, and it is never leased again.
 #pragma once
 
 #include <atomic>
@@ -38,8 +38,9 @@ class Fleet {
  public:
   /// Spawns the fleet's workers immediately. `options` is the
   /// fleet-wide executor configuration (transport kind, fault hook and
-  /// schedules, calibration alpha); it is copied and kept alive for
-  /// the fleet's whole lifetime because worker contexts point into it.
+  /// schedules, fault tolerance, calibration alpha); it is copied and
+  /// kept alive for the fleet's whole lifetime because worker contexts
+  /// point into it.
   /// `max_payload_doubles` is the largest single payload ANY future job
   /// may ship (admission enforces it): the shm arena and the
   /// serializing transports' frame-length ceilings are sized from it
@@ -67,17 +68,19 @@ class Fleet {
   std::vector<platform::SpeedEstimate>& speeds() { return speeds_; }
 
   /// Lock-free drift snapshot for readers OUTSIDE the lease protocol
-  /// (the admission controller pricing a job while other jobs run).
-  /// Published by the leasing job at job end (publish_drift); 1.0
-  /// until a worker has been observed.
+  /// (the admission controller pricing a job while other jobs run, a
+  /// job reporting drift for workers it does not hold). Published by a
+  /// job when its lease on the worker ends (publish_drift); 1.0 until
+  /// a worker has been observed.
   double drift(int worker) const;
   void publish_drift(int worker, double drift);
 
-  /// Permanent-death registry: a job that lost worker `w` for real
-  /// reports it here; the lease manager stops offering it. (A fleet
-  /// has no per-job re-admission: a TCP worker redialing into a
-  /// long-lived daemon would need daemon-level re-admission, which is
-  /// out of scope -- the fleet just shrinks.)
+  /// Permanent-death registry: a lease manager told that worker `w`
+  /// died (LeaseHooks::worker_dead) records it here and stops offering
+  /// it. A job re-admits a redialing TCP worker only while it is still
+  /// alive() here, so a written-off worker never comes back -- the
+  /// fleet just shrinks. Nothing marks a standalone run's workers dead,
+  /// so they rejoin as before.
   void mark_dead(int worker);
   bool alive(int worker) const;
   int alive_count() const;

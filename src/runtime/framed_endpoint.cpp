@@ -34,11 +34,10 @@ FramedEndpoint::FramedEndpoint(std::string name, int fd, pid_t pid,
                                std::size_t credits,
                                std::uint64_t max_frame_bytes,
                                const serde::HelloFrame& expected_hello,
-                               BufferPool* pool, TransportStats* stats)
+                               BufferPool* pool)
     : fd_(fd),
       capacity_(credits),
       expected_hello_(expected_hello),
-      stats_(stats),
       name_(std::move(name)),
       pid_(pid),
       credits_(credits),
@@ -61,7 +60,7 @@ void FramedEndpoint::send(WorkerMessage message) {
   } else {
     serde::encode_cancel(std::get<CancelMessage>(message), tx_);
   }
-  stats_->serde_seconds += seconds_since(serde_begin);
+  stats_.serde_seconds += seconds_since(serde_begin);
 
   // The bounded-inbox rule: no credit, no send. Pump while waiting so
   // results and credits keep flowing (and death is noticed).
@@ -69,8 +68,8 @@ void FramedEndpoint::send(WorkerMessage message) {
   throw_if_dead();
   --credits_;
   write_frame();
-  ++stats_->messages_sent;
-  stats_->bytes_sent += tx_.size();
+  ++stats_.messages_sent;
+  stats_.bytes_sent += tx_.size();
 }
 
 std::optional<ResultMessage> FramedEndpoint::try_recv() {
@@ -190,7 +189,7 @@ std::optional<ResultMessage> FramedEndpoint::pop_result() {
   if (results_.empty()) return std::nullopt;
   ResultMessage result = std::move(results_.front());
   results_.pop_front();
-  ++stats_->messages_received;
+  ++stats_.messages_received;
   return result;
 }
 
@@ -299,7 +298,7 @@ void FramedEndpoint::parse_frames() {
       break;
     }
     cursor += serde::kLengthBytes + static_cast<std::size_t>(length);
-    stats_->bytes_received +=
+    stats_.bytes_received +=
         serde::kLengthBytes + static_cast<std::size_t>(length);
   }
   if (cursor > 0)
@@ -315,7 +314,7 @@ void FramedEndpoint::dispatch(const std::uint8_t* body, std::size_t size) {
       if (discarding_) break;
       const auto serde_begin = Clock::now();
       results_.push_back(serde::decode_result(body, size, *pool_));
-      stats_->serde_seconds += seconds_since(serde_begin);
+      stats_.serde_seconds += seconds_since(serde_begin);
       break;
     }
     case FrameType::kHello:

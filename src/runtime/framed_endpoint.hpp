@@ -62,8 +62,7 @@ class FramedEndpoint : public Endpoint {
   /// must match `expected_hello`'s kernel configuration.
   FramedEndpoint(std::string name, int fd, pid_t pid, std::size_t credits,
                  std::uint64_t max_frame_bytes,
-                 const serde::HelloFrame& expected_hello, BufferPool* pool,
-                 TransportStats* stats);
+                 const serde::HelloFrame& expected_hello, BufferPool* pool);
   ~FramedEndpoint() override;
 
   // ----- Endpoint -----
@@ -130,7 +129,6 @@ class FramedEndpoint : public Endpoint {
   int fd_;
   std::size_t capacity_;
   serde::HelloFrame expected_hello_;
-  TransportStats* stats_;
   serde::ByteBuffer tx_;
   std::deque<ResultMessage> results_;
   bool killed_ = false;
@@ -222,15 +220,12 @@ void spawn_socketpair_workers(
     const std::function<void(std::size_t, int, pid_t)>& adopt);
 
 /// The worker-set bookkeeping every forking transport shares: one
-/// endpoint per worker and one stats slot per endpoint (each endpoint
-/// writes only its own; stable addresses, never resized) so concurrent
-/// fleet jobs never race on a counter.
+/// endpoint per worker, each keeping its own stats.
 template <class EndpointT>
 class FramedTransport : public Transport {
  public:
-  explicit FramedTransport(int workers)
-      : endpoint_stats_(static_cast<std::size_t>(workers)) {
-    endpoints_.reserve(endpoint_stats_.size());
+  explicit FramedTransport(int workers) {
+    endpoints_.reserve(static_cast<std::size_t>(workers));
   }
 
   int worker_count() const override {
@@ -250,12 +245,11 @@ class FramedTransport : public Transport {
   }
   TransportStats stats() const override {
     TransportStats total;
-    for (const TransportStats& slot : endpoint_stats_) total += slot;
+    for (const auto& endpoint : endpoints_) total += endpoint->stats();
     return total;
   }
 
  protected:
-  std::vector<TransportStats> endpoint_stats_;
   std::vector<std::unique_ptr<EndpointT>> endpoints_;
 };
 

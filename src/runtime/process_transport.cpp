@@ -69,8 +69,7 @@ class ProcessTransport final : public FramedTransport<FramedEndpoint> {
           [&](std::size_t i, int fd, pid_t pid) {
             endpoints_.push_back(std::make_unique<FramedEndpoint>(
                 "worker process " + std::to_string(i), fd, pid,
-                inbox_capacity, max_frame_bytes, expected_hello, pool,
-                &endpoint_stats_[i]));
+                inbox_capacity, max_frame_bytes, expected_hello, pool));
           });
     } catch (...) {
       shutdown();

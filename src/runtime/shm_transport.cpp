@@ -436,11 +436,9 @@ class ShmEndpoint final : public FramedEndpoint {
  public:
   ShmEndpoint(int index, int fd, pid_t pid, std::size_t capacity,
               const serde::HelloFrame& expected_hello, RingChannel* rings,
-              SharedArena* arena, SharedAckBoard* acks, BufferPool* pool,
-              TransportStats* stats)
+              SharedArena* arena, SharedAckBoard* acks, BufferPool* pool)
       : FramedEndpoint("worker process " + std::to_string(index), fd, pid,
-                       capacity, kBootstrapFrameBytes, expected_hello, pool,
-                       stats),
+                       capacity, kBootstrapFrameBytes, expected_hello, pool),
         index_(index),
         rings_(rings),
         arena_(arena),
@@ -520,12 +518,12 @@ class ShmEndpoint final : public FramedEndpoint {
       // CancelMessage: an inline descriptor frame, no arena slot.
       serde::encode_cancel(std::get<CancelMessage>(message), tx_);
     }
-    stats_->serde_seconds += seconds_since(serde_begin);
+    stats_.serde_seconds += seconds_since(serde_begin);
     push_inbox();
     ++sent_;
-    ++stats_->messages_sent;
-    stats_->bytes_sent += tx_.size();
-    stats_->bytes_zero_copied += payload_bytes;
+    ++stats_.messages_sent;
+    stats_.bytes_sent += tx_.size();
+    stats_.bytes_zero_copied += payload_bytes;
   }
 
   std::optional<ResultMessage> try_recv() override {
@@ -617,7 +615,7 @@ class ShmEndpoint final : public FramedEndpoint {
     try {
       while (rings_->outbox.try_pop(ring_rx_)) {
         if (ring_rx_.empty()) continue;  // sentinel: never sent inbound
-        stats_->bytes_received += serde::kLengthBytes + ring_rx_.size();
+        stats_.bytes_received += serde::kLengthBytes + ring_rx_.size();
         if (serde::frame_type(ring_rx_.data(), ring_rx_.size()) !=
             FrameType::kResultRef) {
           mark_failed("unexpected frame from worker");
@@ -626,8 +624,8 @@ class ShmEndpoint final : public FramedEndpoint {
         const auto serde_begin = Clock::now();
         ResultMessage result = serde::decode_result_ref(
             ring_rx_.data(), ring_rx_.size(), *arena_);
-        stats_->serde_seconds += seconds_since(serde_begin);
-        stats_->bytes_zero_copied += result.c.size() * sizeof(double);
+        stats_.serde_seconds += seconds_since(serde_begin);
+        stats_.bytes_zero_copied += result.c.size() * sizeof(double);
         if (discarding_) continue;  // Payload releases the slot right here
         results_.push_back(std::move(result));
       }
@@ -694,8 +692,7 @@ class ShmTransport final : public FramedTransport<ShmEndpoint> {
           [&](std::size_t i, int fd, pid_t pid) {
             endpoints_.push_back(std::make_unique<ShmEndpoint>(
                 static_cast<int>(i), fd, pid, inbox_capacity, expected_hello,
-                rings_.channel(i), &arena_, &acks_, pool,
-                &endpoint_stats_[i]));
+                rings_.channel(i), &arena_, &acks_, pool));
           });
     } catch (...) {
       shutdown();

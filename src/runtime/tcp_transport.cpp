@@ -64,7 +64,7 @@ using serde::FrameType;
 /// Handshake frames are a fixed handful of integers; anything bigger
 /// is not a worker saying hello. Bounding the PRE-authentication read
 /// this tightly means an unauthenticated peer can never make the
-/// master allocate.
+/// master buffer more than one such frame.
 constexpr std::uint64_t kHandshakeFrameBytes = 4096;
 
 void set_nodelay(int fd) {
@@ -170,172 +170,140 @@ void handshake(int fd, std::uint64_t token) {
 
 // ---- master side ------------------------------------------------------------
 
-/// Owns the listen socket and every connection that has not yet proven
-/// an identity: accepts, reads the handshake frame under a tight bound
-/// and a deadline, rejects strangers with a kError, and stages
-/// authenticated connections by token until an endpoint claims them.
-/// Single-threaded like the whole master loop; endpoints drive it by
-/// calling poll() from their bootstrap and re-admission paths.
-class Acceptor {
- public:
-  Acceptor() {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    HMXP_CHECK(listen_fd_ >= 0, "socket failed");
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr = loopback(0);
-    HMXP_CHECK(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr) == 0,
-               "bind 127.0.0.1 failed");
-    HMXP_CHECK(::listen(listen_fd_, 64) == 0, "listen failed");
-    socklen_t len = sizeof addr;
-    HMXP_CHECK(::getsockname(listen_fd_,
-                             reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-               "getsockname failed");
-    port_ = ntohs(addr.sin_port);
-    const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
-    HMXP_CHECK(flags >= 0 &&
-                   ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK) == 0,
-               "fcntl O_NONBLOCK failed");
-  }
+}  // namespace
 
-  ~Acceptor() { close_all(); }
-  Acceptor(const Acceptor&) = delete;
-  Acceptor& operator=(const Acceptor&) = delete;
+Acceptor::Acceptor() {
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  HMXP_CHECK(listen_fd_ >= 0, "socket failed");
+  int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr = loopback(0);
+  HMXP_CHECK(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof addr) == 0,
+             "bind 127.0.0.1 failed");
+  HMXP_CHECK(::listen(listen_fd_, 64) == 0, "listen failed");
+  socklen_t len = sizeof addr;
+  HMXP_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                           &len) == 0,
+             "getsockname failed");
+  port_ = ntohs(addr.sin_port);
+  const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
+  HMXP_CHECK(
+      flags >= 0 && ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK) == 0,
+      "fcntl O_NONBLOCK failed");
+}
 
-  std::uint16_t port() const { return port_; }
+Acceptor::~Acceptor() { close_all(); }
 
-  /// Accepts whatever is queued and advances every pending handshake;
-  /// non-blocking throughout.
-  void poll() {
-    accept_new();
-    const auto now = Clock::now();
-    for (std::size_t i = 0; i < pending_.size();) {
-      if (advance(pending_[i]) || now >= pending_[i].deadline) {
-        if (pending_[i].fd >= 0) ::close(pending_[i].fd);
-        pending_[i] = std::move(pending_.back());
-        pending_.pop_back();
-        continue;
-      }
-      ++i;
+void Acceptor::poll() {
+  accept_new();
+  const auto now = Clock::now();
+  for (std::size_t i = 0; i < pending_.size();) {
+    if (advance(pending_[i]) || now >= pending_[i].deadline) {
+      if (pending_[i].fd >= 0) ::close(pending_[i].fd);
+      pending_[i] = std::move(pending_.back());
+      pending_.pop_back();
+      continue;
     }
+    ++i;
   }
+}
 
-  /// Claims the staged connection presenting `token`; -1 if none. The
-  /// returned fd is non-blocking, ready for an endpoint's pump loop.
-  int take(std::uint64_t token, serde::HelloFrame* hello) {
-    for (std::size_t i = 0; i < staged_.size(); ++i) {
-      if (staged_[i].hello.token != token) continue;
-      const int fd = staged_[i].fd;
-      *hello = staged_[i].hello;
-      staged_[i] = std::move(staged_.back());
-      staged_.pop_back();
-      return fd;
-    }
-    return -1;
+int Acceptor::take(std::uint64_t token, serde::HelloFrame* hello) {
+  for (std::size_t i = 0; i < staged_.size(); ++i) {
+    if (staged_[i].hello.token != token) continue;
+    const int fd = staged_[i].fd;
+    *hello = staged_[i].hello;
+    staged_[i] = std::move(staged_.back());
+    staged_.pop_back();
+    return fd;
   }
+  return -1;
+}
 
-  void close_all() noexcept {
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    for (const Pending& conn : pending_)
-      if (conn.fd >= 0) ::close(conn.fd);
-    pending_.clear();
-    for (const Staged& conn : staged_)
-      if (conn.fd >= 0) ::close(conn.fd);
-    staged_.clear();
+void Acceptor::close_all() noexcept {
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
+  for (const Pending& conn : pending_)
+    if (conn.fd >= 0) ::close(conn.fd);
+  pending_.clear();
+  for (const Staged& conn : staged_)
+    if (conn.fd >= 0) ::close(conn.fd);
+  staged_.clear();
+}
 
- private:
-  struct Pending {
-    int fd = -1;
-    ByteBuffer rx;
-    Clock::time_point deadline;
-  };
-  struct Staged {
-    int fd = -1;
-    serde::HelloFrame hello;
-  };
-
-  void accept_new() {
-    if (listen_fd_ < 0) return;
-    for (;;) {
-      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN or a transient accept error: try again later
-      }
-      set_nodelay(fd);
-      Pending conn;
-      conn.fd = fd;
-      conn.deadline = Clock::now() + std::chrono::seconds(10);
-      pending_.push_back(std::move(conn));
-    }
-  }
-
-  /// Reads whatever the pending connection has; true when it should be
-  /// dropped (EOF, corruption, rejection), false to keep waiting. A
-  /// completed valid hello moves the connection to staged_ (also
-  /// returning true -- the fd moved, Pending::fd is cleared).
-  bool advance(Pending& conn) {
-    std::uint8_t buffer[1024];
-    for (;;) {
-      const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        conn.rx.insert(conn.rx.end(), buffer, buffer + n);
-        continue;
-      }
-      if (n == 0) return true;  // EOF before a full hello
+void Acceptor::accept_new() {
+  if (listen_fd_ < 0) return;
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return true;  // reset or a real error: drop
+      break;  // EAGAIN or a transient accept error: try again later
     }
-    if (conn.rx.size() < serde::kLengthBytes) return false;
-    std::uint64_t length = 0;
-    try {
-      length = serde::checked_frame_length(conn.rx.data(),
-                                           kHandshakeFrameBytes);
-    } catch (const std::exception& error) {
-      reject(conn.fd, error.what());
-      return true;
-    }
-    if (conn.rx.size() - serde::kLengthBytes < length) return false;
-    try {
-      const serde::HelloFrame hello = serde::decode_hello(
-          conn.rx.data() + serde::kLengthBytes,
-          static_cast<std::size_t>(length));
-      Staged staged;
-      staged.fd = conn.fd;
-      staged.hello = hello;
-      staged_.push_back(staged);
-      conn.fd = -1;  // ownership moved
-      return true;
-    } catch (const std::exception& error) {
-      // Not an hmxp worker, or a version skew: tell it why (the error
-      // names both versions) and close. Best-effort -- the peer may
-      // already be gone.
-      reject(conn.fd, error.what());
-      return true;
-    }
+    set_nodelay(fd);
+    Pending conn;
+    conn.fd = fd;
+    conn.deadline = Clock::now() + std::chrono::seconds(10);
+    pending_.push_back(std::move(conn));
   }
+}
 
-  void reject(int fd, const std::string& reason) noexcept {
-    try {
-      ByteBuffer frame;
-      serde::encode_error(reason, frame);
-      write_exact(fd, frame.data(), frame.size());
-    } catch (...) {
-      // A full non-blocking socket or a dead peer: give up quietly.
+bool Acceptor::advance(Pending& conn) {
+  // Read the length prefix, then exactly the frame it announces: the
+  // buffer never outgrows kLengthBytes + kHandshakeFrameBytes, and
+  // bytes past the hello stay in the socket for the claiming endpoint.
+  for (;;) {
+    std::size_t want = serde::kLengthBytes;
+    if (conn.rx.size() >= serde::kLengthBytes) {
+      try {
+        want += serde::checked_frame_length(conn.rx.data(),
+                                            kHandshakeFrameBytes);
+      } catch (const std::exception& error) {
+        reject(conn.fd, error.what());
+        return true;
+      }
+      if (conn.rx.size() == want) break;
     }
+    const std::size_t have = conn.rx.size();
+    conn.rx.resize(want);
+    const ssize_t n = ::recv(conn.fd, conn.rx.data() + have, want - have, 0);
+    conn.rx.resize(have + static_cast<std::size_t>(n > 0 ? n : 0));
+    if (n > 0) continue;
+    if (n == 0) return true;  // EOF before a full hello
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
+    return true;  // reset or a real error: drop
   }
+  try {
+    Staged staged;
+    staged.hello = serde::decode_hello(conn.rx.data() + serde::kLengthBytes,
+                                       conn.rx.size() - serde::kLengthBytes);
+    staged.fd = conn.fd;
+    staged_.push_back(staged);
+    conn.fd = -1;  // ownership moved
+    return true;
+  } catch (const std::exception& error) {
+    // Not an hmxp worker, or a version skew: tell it why (the error
+    // names both versions) and close. Best-effort -- the peer may
+    // already be gone.
+    reject(conn.fd, error.what());
+    return true;
+  }
+}
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::vector<Pending> pending_;
-  std::vector<Staged> staged_;
-};
+void Acceptor::reject(int fd, const std::string& reason) noexcept {
+  try {
+    ByteBuffer frame;
+    serde::encode_error(reason, frame);
+    write_exact(fd, frame.data(), frame.size());
+  } catch (...) {
+    // A full non-blocking socket or a dead peer: give up quietly.
+  }
+}
+
+namespace {
 
 /// The framed core over an ADMITTED connection: the endpoint starts
 /// without a socket, claims its worker's connection from the Acceptor
@@ -344,10 +312,9 @@ class TcpEndpoint final : public FramedEndpoint {
  public:
   TcpEndpoint(int index, std::uint64_t token, pid_t pid, std::size_t credits,
               const serde::HelloFrame& expected_hello, BufferPool* pool,
-              TransportStats* stats, std::uint64_t max_frame_bytes,
-              Acceptor* acceptor)
+              std::uint64_t max_frame_bytes, Acceptor* acceptor)
       : FramedEndpoint("tcp worker " + std::to_string(index), /*fd=*/-1, pid,
-                       credits, max_frame_bytes, expected_hello, pool, stats),
+                       credits, max_frame_bytes, expected_hello, pool),
         token_(token),
         acceptor_(acceptor) {}
 
@@ -424,7 +391,7 @@ class TcpTransport final : public FramedTransport<TcpEndpoint> {
     const std::uint64_t base =
         (static_cast<std::uint64_t>(entropy()) << 32) ^ entropy();
     try {
-      for (std::size_t i = 0; i < endpoint_stats_.size(); ++i) {
+      for (std::size_t i = 0; i < static_cast<std::size_t>(workers); ++i) {
         const std::uint64_t token = (base | 1) + i;
         const WorkerContext context =
             make_worker_context(options, static_cast<int>(i), run_begin);
@@ -441,7 +408,7 @@ class TcpTransport final : public FramedTransport<TcpEndpoint> {
         }
         endpoints_.push_back(std::make_unique<TcpEndpoint>(
             static_cast<int>(i), token, pid, inbox_capacity, expected_hello,
-            pool, &endpoint_stats_[i], max_frame_bytes, &acceptor_));
+            pool, max_frame_bytes, &acceptor_));
       }
     } catch (...) {
       shutdown();

@@ -94,21 +94,20 @@ class ThreadWorker final : public WorkerPort {
 
 class ThreadEndpoint final : public Endpoint {
  public:
-  ThreadEndpoint(ThreadWorker* worker, TransportStats* stats)
-      : worker_(worker), stats_(stats) {}
+  explicit ThreadEndpoint(ThreadWorker* worker) : worker_(worker) {}
 
   void send(WorkerMessage message) override {
     worker_->inbox().push(std::move(message));
-    ++stats_->messages_sent;
+    ++stats_.messages_sent;
   }
   std::optional<ResultMessage> try_recv() override {
     auto result = worker_->outbox().try_pop();
-    if (result.has_value()) ++stats_->messages_received;
+    if (result.has_value()) ++stats_.messages_received;
     return result;
   }
   std::optional<ResultMessage> recv() override {
     auto result = worker_->outbox().pop();
-    if (result.has_value()) ++stats_->messages_received;
+    if (result.has_value()) ++stats_.messages_received;
     return result;
   }
   bool failed() const override { return worker_->failed(); }
@@ -134,7 +133,6 @@ class ThreadEndpoint final : public Endpoint {
 
  private:
   ThreadWorker* worker_;
-  TransportStats* stats_;
 };
 
 class ThreadTransport final : public Transport {
@@ -142,19 +140,14 @@ class ThreadTransport final : public Transport {
   ThreadTransport(int workers, std::size_t inbox_capacity,
                   const ExecutorOptions& options,
                   std::chrono::steady_clock::time_point run_begin,
-                  BufferPool* pool)
-      : endpoint_stats_(static_cast<std::size_t>(workers)) {
+                  BufferPool* pool) {
     workers_.reserve(static_cast<std::size_t>(workers));
     endpoints_.reserve(static_cast<std::size_t>(workers));
     for (int i = 0; i < workers; ++i) {
       workers_.push_back(std::make_unique<ThreadWorker>(
           make_worker_context(options, i, run_begin), inbox_capacity, pool));
-      // One stats slot per endpoint: each endpoint writes only its own
-      // counters, so concurrent master loops over disjoint endpoint
-      // sets (fleet mode) never race here; stats() sums at quiescence.
-      endpoints_.push_back(std::make_unique<ThreadEndpoint>(
-          workers_.back().get(),
-          &endpoint_stats_[static_cast<std::size_t>(i)]));
+      endpoints_.push_back(
+          std::make_unique<ThreadEndpoint>(workers_.back().get()));
     }
     for (auto& worker : workers_) worker->start();
   }
@@ -185,14 +178,11 @@ class ThreadTransport final : public Transport {
 
   TransportStats stats() const override {
     TransportStats total;
-    for (const TransportStats& slot : endpoint_stats_) total += slot;
+    for (const auto& endpoint : endpoints_) total += endpoint->stats();
     return total;
   }
 
  private:
-  // Declared before the endpoints that point into it; never resized
-  // after construction, so the slot addresses stay stable.
-  std::vector<TransportStats> endpoint_stats_;
   std::vector<std::unique_ptr<ThreadWorker>> workers_;
   std::vector<std::unique_ptr<ThreadEndpoint>> endpoints_;
 };

@@ -45,6 +45,19 @@ TransportStats& TransportStats::operator+=(const TransportStats& other) {
   return *this;
 }
 
+TransportStats& TransportStats::operator-=(const TransportStats& other) {
+  messages_sent -= other.messages_sent;
+  messages_received -= other.messages_received;
+  bytes_sent -= other.bytes_sent;
+  bytes_received -= other.bytes_received;
+  serde_seconds -= other.serde_seconds;
+  bytes_zero_copied -= other.bytes_zero_copied;
+  arena_slots -= other.arena_slots;
+  arena_peak_slots -= other.arena_peak_slots;
+  arena_leaked_slots -= other.arena_leaked_slots;
+  return *this;
+}
+
 Payload Endpoint::allocate_payload(std::size_t size, BufferPool& pool) {
   return Payload(pool.acquire(size));
 }

@@ -83,12 +83,15 @@ struct TransportStats {
   std::size_t arena_peak_slots = 0;
   std::size_t arena_leaked_slots = 0;
 
-  /// Field-wise accumulation. Transports keep one stats slot PER
-  /// endpoint (each endpoint writes only its own, so two master loops
-  /// driving disjoint endpoint sets -- concurrent jobs on a shared
-  /// fleet -- never race on a counter) and sum the slots here. Only
-  /// meaningful at a quiescent point: after shutdown, or between jobs.
+  /// Field-wise accumulation. Every endpoint keeps its own counters
+  /// (Endpoint::stats: two master loops driving disjoint endpoint sets
+  /// -- concurrent jobs on a shared fleet -- never race on a counter)
+  /// and transports sum them here. Only meaningful at a quiescent
+  /// point: after shutdown, or between jobs.
   TransportStats& operator+=(const TransportStats& other);
+  /// Field-wise difference; a fleet job subtracts an endpoint's counters
+  /// when its lease begins and adds them back when it ends.
+  TransportStats& operator-=(const TransportStats& other);
 };
 
 /// The master's handle to ONE worker's data plane.
@@ -149,6 +152,14 @@ class Endpoint {
   /// back, in-flight chunk returned), so a rejoin is a hot-join of an
   /// idle worker. Default: failures are final.
   virtual bool try_readmit() { return false; }
+
+  /// This endpoint's own data-plane counters. Only the master calls
+  /// above write them, so whoever drives the endpoint reads them
+  /// race-free -- a fleet job reads them when a lease begins and ends.
+  const TransportStats& stats() const { return stats_; }
+
+ protected:
+  TransportStats stats_;
 };
 
 /// Owns the worker set of one run: endpoints while running, join/reap

@@ -35,6 +35,7 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
                "daemon needs at least one runner");
   HMXP_REQUIRE(config_.queue_capacity > 0,
                "daemon needs a positive queue capacity");
+  config_.executor.tolerate_faults = true;  // outlive any worker's death
   fleet_ = std::make_unique<runtime::Fleet>(
       config_.platform, config_.executor, config_.max_payload_doubles);
   const auto size = static_cast<std::size_t>(fleet_->size());
@@ -200,7 +201,8 @@ void Daemon::run_job(std::uint64_t job_id) {
       free_workers_.push_back(worker);
       rebalance_locked();
     };
-    hooks.worker_dead = [this, &account](int) {
+    hooks.worker_dead = [this, &account](int worker) {
+      fleet_->mark_dead(worker);
       std::lock_guard<std::mutex> lock(lease_mutex_);
       --account.held;
       rebalance_locked();
@@ -395,14 +397,15 @@ void Daemon::shutdown() {
   }
   for (std::thread& runner : runners_) runner.join();
   runners_.clear();
-  // 3. Tear the TCP front-end down: closing the listen socket pops the
-  //    acceptor, shutting session sockets pops their read_frame loops.
+  // 3. Tear the TCP front-end down: shutting the listen socket pops the
+  //    acceptor (joined before the fd it reads is closed and cleared),
+  //    shutting session sockets pops their read_frame loops.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     for (const int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);

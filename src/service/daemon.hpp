@@ -44,7 +44,7 @@ namespace hmxp::service {
 struct DaemonConfig {
   platform::Platform platform;
   /// Fleet-wide executor configuration (transport kind, fault hooks,
-  /// calibration alpha). tolerate_faults is forced on by the fleet.
+  /// calibration alpha). tolerate_faults is forced on by the daemon.
   runtime::ExecutorOptions executor;
   /// Largest single payload any admitted job may ship; sizes the shm
   /// arena and frame ceilings once, at fleet spawn.

@@ -180,11 +180,9 @@ TEST(FramedEndpoint, SeededMutationsDecodeOrFailWithATypedError) {
     Link link;
     ASSERT_EQ(::fcntl(link.master, F_SETFL, O_NONBLOCK), 0);
     BufferPool pool;
-    TransportStats stats;
     // No child (pid -1): the endpoint never signals or reaps anything.
     FramedEndpoint endpoint("fuzzed worker", link.master, /*pid=*/-1,
-                            /*credits=*/2, limit, fixed_hello(), &pool,
-                            &stats);
+                            /*credits=*/2, limit, fixed_hello(), &pool);
     link.master = -1;  // owned by the endpoint now
     if (!wire.empty()) write_all(link.worker, wire);
 
@@ -222,10 +220,9 @@ TEST(FramedEndpoint, OversizedPrefixFailsBeforeAllocating) {
   Link link;
   ASSERT_EQ(::fcntl(link.master, F_SETFL, O_NONBLOCK), 0);
   BufferPool pool;
-  TransportStats stats;
   const std::uint64_t limit = serde::max_frame_bytes_for(64);
   FramedEndpoint endpoint("worker process 0", link.master, /*pid=*/-1,
-                          /*credits=*/2, limit, fixed_hello(), &pool, &stats);
+                          /*credits=*/2, limit, fixed_hello(), &pool);
   link.master = -1;
   serde::ByteBuffer wire(serde::kLengthBytes);
   const std::uint64_t hostile = 1ull << 60;

@@ -3,8 +3,8 @@
 // decision parity, worker-exception propagation, the verification
 // failure path, the dynamic-perturbation hook on the simulator side,
 // EWMA speed calibration on both backends, bandwidth (c_i) perturbation
-// parity through the throttled channel, and the mid-idle worker-death
-// regression.
+// parity through the throttled channel, the mid-idle worker-death
+// regression, and per-job transport stats on a shared fleet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "platform/calibration.hpp"
 #include "platform/perturbation.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/fleet.hpp"
 #include "sched/demand_driven.hpp"
 #include "sched/registry.hpp"
 #include "sched/round_robin.hpp"
@@ -114,6 +115,47 @@ TEST(OnlineRuntime, SteadyStateMasterLoopDoesNotAllocatePerStep) {
   // ratio dips while the allocation bound still holds, which is the
   // invariant that actually matters.)
   EXPECT_GE(s2.reuses + 48u, s2.acquires);
+}
+
+// ---- per-job transport stats on a shared fleet ------------------------------
+
+TEST(OnlineRuntime, SequentialFleetJobsReportTheirOwnTransportStats) {
+  // Each job counts only the traffic it drove, bracketed by its leases:
+  // the first job keeps its workers to the end (no lease manager), the
+  // second hands every worker back as its tail drains. At quiescence
+  // the two add up to the fleet's own counters.
+  const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 40);
+  const matrix::Partition part(40, 40, 48, 8);
+  ExecutorOptions options;
+  options.verify = false;
+  Fleet fleet(plat, options, 40 * 48);
+  const std::vector<int> everyone = {0, 1, 2};
+  const LeaseHooks no_lease_manager;
+  LeaseHooks handing_back;
+  std::vector<int> released;
+  handing_back.release = [&released](int w) { released.push_back(w); };
+
+  TransportStats sum;
+  for (int job = 0; job < 2; ++job) {
+    const auto a = random_matrix(40, 40, 61 + job);
+    const auto b = random_matrix(40, 48, 71 + job);
+    matrix::Matrix c(40, 48, 0.0);
+    auto scheduler = sched::make_oddoml(plat, part);
+    FleetJobOptions job_options;
+    job_options.verify = true;
+    const ExecutorReport report = execute_on_fleet(
+        scheduler, fleet, part, a, b, c, everyone,
+        job == 0 ? no_lease_manager : handing_back, job_options);
+    EXPECT_TRUE(report.verified);
+    EXPECT_GT(report.transport_stats.messages_sent, 0u);
+    EXPECT_GT(report.transport_stats.messages_received, 0u);
+    sum += report.transport_stats;
+  }
+  EXPECT_EQ(released.size(), 3u);
+  const TransportStats total = fleet.transport_stats();
+  EXPECT_EQ(sum.messages_sent, total.messages_sent);
+  EXPECT_EQ(sum.messages_received, total.messages_received);
+  fleet.shutdown();
 }
 
 // ---- sim vs runtime decision parity ----------------------------------------

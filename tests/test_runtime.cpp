@@ -67,7 +67,8 @@ TEST_P(RuntimeAllAlgorithms, ComputesExactProduct) {
   std::vector<sim::Decision> decisions;
   sim::simulate(*scheduler, plat, part, false, &decisions);
 
-  const ExecutorReport report = execute(plat, part, decisions, a, b, c);
+  sim::ReplayScheduler replay("replay", decisions);
+  const ExecutorReport report = execute_online(replay, plat, part, a, b, c);
   EXPECT_TRUE(report.verified);
   EXPECT_LT(report.max_abs_error, 1e-10);
   EXPECT_EQ(report.updates_performed, 7u * 13u * 9u);
@@ -95,7 +96,9 @@ TEST(Runtime, HeterogeneousPlatformSchedule) {
   const auto a = matrix::Matrix::random(96, 64, rng);
   const auto b = matrix::Matrix::random(64, 160, rng);
   matrix::Matrix c(96, 160, 0.5);
-  const ExecutorReport report = run_on_data("Het", plat, part, a, b, c);
+  auto scheduler = core::make_scheduler("Het", plat, part);
+  const ExecutorReport report =
+      execute_online(*scheduler, plat, part, a, b, c);
   EXPECT_TRUE(report.verified);
   // Work spread across at least two workers.
   int active = 0;
@@ -113,8 +116,9 @@ TEST(Runtime, SlowdownEmulationPreservesResult) {
   matrix::Matrix c(40, 40, 1.0);
   ExecutorOptions options;
   options.compute_slowdown = {1, 3, 5};  // paper's deceleration trick
+  auto scheduler = core::make_scheduler("ORROML", plat, part);
   const ExecutorReport report =
-      run_on_data("ORROML", plat, part, a, b, c, options);
+      execute_online(*scheduler, plat, part, a, b, c, options);
   EXPECT_TRUE(report.verified);
 }
 
@@ -124,15 +128,15 @@ TEST(Runtime, ValidatesShapesAndOptions) {
   const matrix::Matrix good(16, 16);
   const matrix::Matrix bad(15, 16);
   matrix::Matrix c(16, 16);
-  std::vector<sim::Decision> empty;
-  EXPECT_THROW(execute(plat, part, empty, bad, good, c),
+  sim::ReplayScheduler empty("replay", {});
+  EXPECT_THROW(execute_online(empty, plat, part, bad, good, c),
                std::invalid_argument);
   ExecutorOptions options;
   options.compute_slowdown = {1};  // wrong length (2 workers)
-  EXPECT_THROW(execute(plat, part, empty, good, good, c, options),
+  EXPECT_THROW(execute_online(empty, plat, part, good, good, c, options),
                std::invalid_argument);
   options.compute_slowdown = {0, 1};  // zero factor
-  EXPECT_THROW(execute(plat, part, empty, good, good, c, options),
+  EXPECT_THROW(execute_online(empty, plat, part, good, good, c, options),
                std::invalid_argument);
 }
 
@@ -143,10 +147,11 @@ TEST(Runtime, RejectsCorruptDecisionLog) {
   const matrix::Matrix b(16, 16, 1.0);
   matrix::Matrix c(16, 16, 0.0);
   // Operand decision with no preceding chunk.
-  std::vector<sim::Decision> bad{sim::Decision::send_operands(0)};
+  sim::ReplayScheduler bad("replay", {sim::Decision::send_operands(0)});
   ExecutorOptions options;
   options.verify = false;
-  EXPECT_THROW(execute(plat, part, bad, a, b, c, options), std::logic_error);
+  EXPECT_THROW(execute_online(bad, plat, part, a, b, c, options),
+               std::logic_error);
 }
 
 TEST(Runtime, IdentityProductSanity) {
@@ -157,7 +162,8 @@ TEST(Runtime, IdentityProductSanity) {
   util::Rng rng(5);
   const auto b = matrix::Matrix::random(24, 24, rng);
   matrix::Matrix c(24, 24, 0.0);
-  run_on_data("ODDOML", plat, part, eye, b, c);
+  auto scheduler = core::make_scheduler("ODDOML", plat, part);
+  execute_online(*scheduler, plat, part, eye, b, c);
   EXPECT_LT(matrix::Matrix::max_abs_diff(c, b), 1e-12);
 }
 

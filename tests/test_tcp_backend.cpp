@@ -7,22 +7,31 @@
 // thread transport for every registered scheduler, and the
 // disconnect/reconnect lifecycle: a worker severed mid-run redials, is
 // re-admitted, and the run completes bit-for-bit equal to the
-// fault-free product.
+// fault-free product -- unless a lease manager wrote the worker off, in
+// which case the fleet job completes without it. The Acceptor's
+// pre-authentication read stops at the end of the hello frame.
 //
 // Like the process suite, everything that forks skips under TSan.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/run.hpp"
 #include "matrix/matrix.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/serde.hpp"
 #include "runtime/socket_util.hpp"
 #include "runtime/tcp_transport.hpp"
@@ -251,6 +260,59 @@ TEST(SocketUtil, GarbageBodyFailsInTheDecoderNotTheTransport) {
                std::runtime_error);
 }
 
+TEST(TcpAcceptor, ReadsNoFurtherThanTheHelloFrame) {
+  // A peer that keeps writing past its hello must not make the master
+  // buffer it before authentication, and nothing it sent may be lost:
+  // every byte after the hello is still in the socket for the endpoint
+  // that claims the connection.
+  Acceptor acceptor;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof addr);
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(acceptor.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+
+  constexpr std::uint64_t kToken = 0x5eed;
+  serde::HelloFrame hello;
+  hello.token = kToken;
+  serde::ByteBuffer wire;
+  serde::encode_hello(hello, wire);
+  const std::size_t trailer = 16 * 1024;  // 4x the handshake bound
+  wire.insert(wire.end(), trailer, 0xAB);
+  write_exact(fd, wire.data(), wire.size());
+
+  serde::HelloFrame staged;
+  int claimed = -1;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (claimed < 0 && std::chrono::steady_clock::now() < deadline) {
+    acceptor.poll();
+    claimed = acceptor.take(kToken, &staged);
+    if (claimed < 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(claimed, 0) << "the hello was never staged";
+  EXPECT_EQ(staged.token, kToken);
+
+  std::size_t received = 0;
+  std::uint8_t buffer[4096];
+  while (received < trailer) {
+    pollfd entry{claimed, POLLIN, 0};
+    if (::poll(&entry, 1, 1000) <= 0) break;
+    const ssize_t n = ::recv(claimed, buffer, sizeof buffer, 0);
+    if (n <= 0) break;
+    for (ssize_t i = 0; i < n; ++i) ASSERT_EQ(buffer[i], 0xAB);
+    received += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(received, trailer);
+  ::close(claimed);
+  ::close(fd);
+}
+
 // ---- loopback-TCP parity ----------------------------------------------------
 
 platform::Platform hetero_platform() {
@@ -424,6 +486,56 @@ TEST(TcpBackend, DisconnectedWorkerReconnectsAndRecoversBitForBit) {
   }
   EXPECT_TRUE(saw_rejoin)
       << "disconnected worker was never re-admitted in 5 attempts";
+}
+
+TEST(TcpBackend, WrittenOffWorkerIsNeverReadmittedToAFleetJob) {
+  HMXP_SKIP_UNDER_TSAN();
+  // The daemon's rule: a lease manager that hears of a death marks the
+  // worker dead on the fleet, and the job finishes on the survivors
+  // even though the severed worker redials. C still matches the
+  // fault-free product bit for bit.
+  const matrix::Partition part(64, 64, 64, 8);
+  const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 40);
+  const auto a = random_matrix(64, 64, 21);
+  const auto b = random_matrix(64, 64, 22);
+  const matrix::Matrix c_initial = random_matrix(64, 64, 23);
+
+  matrix::Matrix c_clean = c_initial;
+  {
+    auto scheduler =
+        sched::Registry::instance().make("FT-ODDOML", plat, part);
+    ExecutorOptions options;
+    options.transport = TransportKind::kTcp;
+    execute_online(*scheduler, plat, part, a, b, c_clean, options);
+  }
+
+  ExecutorOptions options;
+  options.transport = TransportKind::kTcp;
+  options.tolerate_faults = true;
+  options.fault_hook = [](int worker, std::size_t step) {
+    static bool fired = false;  // one-shot per child, as above
+    if (!fired && worker == 1 && step == 1) {
+      fired = true;
+      throw TcpDisconnectFault("injected link failure");
+    }
+  };
+  Fleet fleet(plat, options, 64 * 64);
+  LeaseHooks hooks;
+  hooks.worker_dead = [&fleet](int worker) { fleet.mark_dead(worker); };
+  std::vector<int> everyone(3);
+  std::iota(everyone.begin(), everyone.end(), 0);
+  FleetJobOptions job;
+  job.verify = true;
+  matrix::Matrix c_faulty = c_initial;
+  auto scheduler = sched::Registry::instance().make("FT-ODDOML", plat, part);
+  const ExecutorReport report = execute_on_fleet(
+      *scheduler, fleet, part, a, b, c_faulty, everyone, hooks, job);
+  EXPECT_TRUE(report.verified);
+  EXPECT_GE(report.workers_failed, 1);
+  EXPECT_EQ(report.workers_rejoined, 0);
+  EXPECT_FALSE(fleet.alive(1));
+  EXPECT_EQ(matrix::Matrix::max_abs_diff(c_faulty, c_clean), 0.0);
+  fleet.shutdown();
 }
 
 }  // namespace
